@@ -1,7 +1,8 @@
 //! Statistics, growth-rate fitting, table rendering, the energy model,
 //! and the algorithm registry for the `awake-mis` experiment harness.
 //!
-//! Every experiment in `EXPERIMENTS.md` is built from these pieces:
+//! Every experiment of the `experiments` binary (crate `bench`) is built
+//! from these pieces:
 //! [`spec`] turns textual algorithm specs (`awake?round_efficient=true`)
 //! into executable [`spec::RunnerHandle`]s through an extensible
 //! [`spec::Registry`] (built-ins pre-registered, user algorithms

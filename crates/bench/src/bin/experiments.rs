@@ -1,7 +1,8 @@
 //! Regenerates every quantitative claim of
 //! *"Distributed MIS in O(log log n) Awake Complexity"* (PODC 2023) as a
-//! table or series. See `DESIGN.md` §4 for the claim → experiment index
-//! and `EXPERIMENTS.md` for recorded results.
+//! table or series. Each `eN` function's doc names the claim it
+//! regenerates; the README's "Running experiment grids" section covers
+//! the harness the experiments run on.
 //!
 //! Usage: `cargo run -p bench --release --bin experiments [-- e1 e4 …]`
 //! (no arguments = run everything).
@@ -282,7 +283,7 @@ fn e3() {
         ]);
     }
     print!("{}", t.render());
-    println!("note: with our randomized LDT-Construct-Awake substitute (DESIGN.md §3.5), the Theorem 13");
+    println!("note: with our randomized LDT-Construct-Awake substitute (see ldt::construct), the Theorem 13");
     println!("pipeline is already round-cheap, so Corollary 14's round advantage does not materialize here;");
     println!("its awake cost is correctly higher (the deterministic construction pays the log* factor).\n");
 }
@@ -684,7 +685,7 @@ fn e11() {
 /// serial triple loop, minus the serialism.
 fn e12() {
     header(
-        "E12 (ablation, DESIGN.md §3.4)",
+        "E12 (ablation, uniform_batches)",
         "Geometric collections keep shattered components small; uniform collections inflate early components",
     );
     let mut t = Table::new(vec![

@@ -30,6 +30,10 @@
 //! quit        apply nothing further and exit
 //! ```
 //!
+//! Each command takes exactly the operands shown. A missing or
+//! non-numeric operand, or any extra token, is a malformed line, and an
+//! unknown command is rejected too: both exit with status 2.
+//!
 //! After each applied batch the service prints the MIS delta as `+m V`
 //! / `-m V` lines on stdout (suppressed by `--quiet`), then a `# batch`
 //! summary line: effective deltas, woken nodes, frontier size, repair
@@ -185,6 +189,13 @@ fn apply_batch(
     }
 }
 
+/// Rejects a stdin protocol line whose operands are missing, not
+/// numbers, or followed by extra tokens.
+fn malformed(line: &str) -> ! {
+    eprintln!("serve: malformed line {line:?}");
+    std::process::exit(2);
+}
+
 fn main() {
     let registry = default_registry();
     let mut algo = String::from("luby");
@@ -258,30 +269,21 @@ fn main() {
         let mut batch = DeltaBatch::new();
         for line in stdin.lock().lines() {
             let line = line.expect("stdin");
-            let mut parts = line.split_whitespace();
-            let op = parts.next().unwrap_or("");
-            let arg = |p: &mut std::str::SplitWhitespace| -> u32 {
-                p.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("serve: malformed line {line:?}");
-                    std::process::exit(2);
-                })
-            };
-            match op {
-                "+e" => {
-                    let (u, v) = (arg(&mut parts), arg(&mut parts));
-                    batch.insert_edge(u, v);
+            let num = |s: &str| -> u32 { s.parse().unwrap_or_else(|_| malformed(&line)) };
+            match line.split_whitespace().collect::<Vec<_>>()[..] {
+                ["+e", u, v] => {
+                    batch.insert_edge(num(u), num(v));
                 }
-                "-e" => {
-                    let (u, v) = (arg(&mut parts), arg(&mut parts));
-                    batch.delete_edge(u, v);
+                ["-e", u, v] => {
+                    batch.delete_edge(num(u), num(v));
                 }
-                "+n" => {
-                    batch.add_nodes(arg(&mut parts) as usize);
+                ["+n", k] => {
+                    batch.add_nodes(num(k) as usize);
                 }
-                "-n" => {
-                    batch.remove_node(arg(&mut parts));
+                ["-n", v] => {
+                    batch.remove_node(num(v));
                 }
-                "" | "." | "flush" => {
+                [] | ["." | "flush"] => {
                     failed |= !apply_batch(
                         &batch,
                         &mut service,
@@ -292,9 +294,12 @@ fn main() {
                     );
                     batch = DeltaBatch::new();
                 }
-                "stats" => println!("{}", stats.line()),
-                "quit" => break,
-                other => {
+                ["stats"] => println!("{}", stats.line()),
+                ["quit"] => break,
+                ["+e" | "-e" | "+n" | "-n" | "." | "flush" | "stats" | "quit", ..] => {
+                    malformed(&line)
+                }
+                [other, ..] => {
                     eprintln!("serve: unknown op {other:?} in line {line:?}");
                     std::process::exit(2);
                 }

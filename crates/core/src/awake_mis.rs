@@ -36,7 +36,8 @@ use sleeping_congest::{MessageSize, NodeCtx, Outbox, Protocol, Round};
 /// Tunable constants of `Awake-MIS`.
 ///
 /// The defaults follow the paper's Theorem 13 analysis with practical
-/// constants (see `DESIGN.md` §3.4): `Δ′ = ⌈delta_factor · ln N⌉`,
+/// constants (the field docs compare them with the paper's):
+/// `Δ′ = ⌈delta_factor · ln N⌉`,
 /// component bound `K = ⌈comp_factor · ln N⌉ + 4`, and
 /// `ℓ = ⌈log₂(N / (ell_density · log₂ N))⌉` collections.
 #[derive(Debug, Clone, Copy)]

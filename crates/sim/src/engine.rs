@@ -1,6 +1,7 @@
 //! The round engine.
 
 use crate::fault::FaultModel;
+use crate::message::MessageSize;
 use crate::metrics::{Metrics, RunReport};
 use crate::protocol::{Action, NodeCtx, Outbox, Protocol};
 use crate::rng::{fault_draw, fault_unit, node_rng, FAULT_CRASH, FAULT_LOSS, FAULT_WAKE};
@@ -49,11 +50,13 @@ pub struct SimConfig {
     /// ranges executed on scoped worker threads; `0` means one shard per
     /// available hardware thread.
     ///
-    /// Sharding is an execution knob, not a semantic one: outgoing
-    /// messages are staged per shard and merged in sender-id order, so
-    /// outputs and [`Metrics`] are byte-identical for every shard count
-    /// — including under an active [`FaultModel`], whose draws are
-    /// keyed by `(site, round)` and therefore independent of scheduling.
+    /// Sharding is an execution knob, not a semantic one: each awake
+    /// node stores its outbox once in its own slot, and each receiver
+    /// pulls from its awake neighbors in port order (= sender-id order),
+    /// so outputs and [`Metrics`] are byte-identical for every shard
+    /// count — including under an active [`FaultModel`], whose draws
+    /// are keyed by `(site, round)` and therefore independent of
+    /// scheduling.
     pub shards: usize,
     /// Observational trace sink (see [`crate::trace`]). `None` (the
     /// default) keeps the hot loop trace-free: no timestamps are taken
@@ -253,56 +256,50 @@ impl WakeQueue {
     }
 }
 
-/// One shard's staging buffer for a round's send phase.
+/// One shard's working state for a round.
 ///
-/// Workers append deliveries as `(receiver batch slot, port, message)`
-/// while accumulating their slice of the message counters locally; the
-/// merge step ([`MsgArena::fill_from`]) and a commutative counter sum
-/// reproduce the serial engine's state exactly.
+/// The send phase fills the send-side counters and the first error; the
+/// receive phase fills the delivery counters and reuses `inbox` for each
+/// receiver in turn. Counter sums and a max are commutative, so the
+/// totals reproduce the serial engine's for every shard layout.
 #[derive(Debug)]
-struct SendStage<M> {
-    /// Staged deliveries: receiver's dense index in the sorted batch,
-    /// receiver-side port, message. Within one stage, entries appear in
-    /// ascending sender-id order because each worker scans its batch
-    /// slice in order.
-    msgs: Vec<(u32, Port, M)>,
+struct ShardStage<M> {
+    /// Copies sent: `degree` per broadcast, one per unicast entry.
     sent: u64,
-    delivered: u64,
-    lost: u64,
-    faulted: u64,
     max_bits: usize,
     total_bits: u64,
     /// First error this shard hit, in its own id order. The engine takes
     /// the error from the lowest-index shard, which is exactly the first
     /// error the serial loop would have returned.
     err: Option<SimError>,
+    /// Copies pulled into an awake receiver's inbox.
+    delivered: u64,
+    /// Copies an awake receiver lost to the link-fault model.
+    faulted: u64,
+    /// The inbox of the receiver being served.
+    inbox: Vec<(Port, M)>,
 }
 
-impl<M> Default for SendStage<M> {
+impl<M> Default for ShardStage<M> {
     fn default() -> Self {
-        SendStage {
-            msgs: Vec::new(),
+        ShardStage {
             sent: 0,
-            delivered: 0,
-            lost: 0,
-            faulted: 0,
             max_bits: 0,
             total_bits: 0,
             err: None,
+            delivered: 0,
+            faulted: 0,
+            inbox: Vec::new(),
         }
     }
 }
 
-impl<M> SendStage<M> {
+impl<M> ShardStage<M> {
+    /// Zeroes the counters, keeping the inbox buffer's capacity.
     fn clear(&mut self) {
-        self.msgs.clear();
-        self.sent = 0;
-        self.delivered = 0;
-        self.lost = 0;
-        self.faulted = 0;
-        self.max_bits = 0;
-        self.total_bits = 0;
-        self.err = None;
+        let mut inbox = std::mem::take(&mut self.inbox);
+        inbox.clear();
+        *self = ShardStage { inbox, ..ShardStage::default() };
     }
 
     /// Accounts one emission of a `bits`-bit message in `copies` copies,
@@ -328,94 +325,8 @@ impl<M> SendStage<M> {
     }
 }
 
-/// Flat double-buffered message arena: one round's inboxes, CSR-style.
-///
-/// Instead of `n` growable `Vec` mailboxes, the arena holds a single
-/// `data` buffer with `offsets[i]..offsets[i + 1]` delimiting awake batch
-/// slot `i`'s inbox. It is rebuilt every round by a counting-sort merge
-/// of the shard staging buffers, so per-message allocation never happens
-/// after the buffers reach steady-state capacity.
-#[derive(Debug)]
-struct MsgArena<M> {
-    /// `batch.len() + 1` prefix sums over per-slot message counts.
-    offsets: Vec<usize>,
-    /// Scatter cursors, one per slot, used during the merge.
-    cursors: Vec<usize>,
-    /// Concatenated stage buffers (sender-id order), pre-permutation.
-    staged: Vec<(u32, Port, M)>,
-    /// Inverse permutation: `inv[dest] = src` index into `staged`.
-    inv: Vec<usize>,
-    /// All of the round's deliveries, grouped by receiver slot.
-    data: Vec<(Port, M)>,
-}
-
-impl<M> Default for MsgArena<M> {
-    fn default() -> Self {
-        MsgArena {
-            offsets: Vec::new(),
-            cursors: Vec::new(),
-            staged: Vec::new(),
-            inv: Vec::new(),
-            data: Vec::new(),
-        }
-    }
-}
-
-impl<M> MsgArena<M> {
-    fn clear(&mut self) {
-        self.offsets.clear();
-        self.cursors.clear();
-        self.staged.clear();
-        self.inv.clear();
-        self.data.clear();
-    }
-
-    /// Counting-sort merge: drains every stage — in shard order, i.e.
-    /// ascending sender-id order — into `data`, grouped by receiver slot.
-    /// Per receiver this reproduces exactly the push order of the serial
-    /// engine's nested inboxes, so downstream behaviour is byte-identical
-    /// for every shard count. Three linear passes, no comparison sort;
-    /// the inverse-permutation table lets `data` be built by an in-order
-    /// extend instead of scatter-writes into uninitialized capacity.
-    fn fill_from(&mut self, stages: &mut [SendStage<M>], slots: usize)
-    where
-        M: Clone,
-    {
-        self.staged.clear();
-        for stage in stages.iter_mut() {
-            self.staged.append(&mut stage.msgs);
-        }
-        self.offsets.clear();
-        self.offsets.resize(slots + 1, 0);
-        for &(slot, _, _) in &self.staged {
-            self.offsets[slot as usize + 1] += 1;
-        }
-        for i in 0..slots {
-            self.offsets[i + 1] += self.offsets[i];
-        }
-        let total = self.offsets[slots];
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.offsets[..slots]);
-        self.inv.clear();
-        self.inv.resize(total, 0);
-        for (src, &(slot, _, _)) in self.staged.iter().enumerate() {
-            let dest = self.cursors[slot as usize];
-            self.inv[dest] = src;
-            self.cursors[slot as usize] = dest + 1;
-        }
-        self.data.clear();
-        let staged = &self.staged;
-        self.data.extend(self.inv.iter().map(|&src| {
-            let (_, port, msg) = &staged[src];
-            // For `Copy` messages this clone is a plain memcpy.
-            (*port, msg.clone())
-        }));
-        self.staged.clear();
-    }
-}
-
 /// Reusable per-run working memory: the wake queue, per-node RNGs, the
-/// flat message arena, shard staging buffers, and awake stamps.
+/// round's outboxes, the sender bitset, and per-shard inbox buffers.
 ///
 /// A fresh [`Simulator::run`] allocates all of this from scratch; callers
 /// running many simulations (seed grids, Monte Carlo sweeps) should keep
@@ -424,9 +335,9 @@ impl<M> MsgArena<M> {
 /// their capacity across runs. The type parameter is the protocol's
 /// message type ([`Protocol::Msg`]).
 ///
-/// Per-node engine state lives in struct-of-arrays form (`rngs`,
-/// `awake_stamp`, `slot`), and the round's inboxes are one flat
-/// [`MsgArena`] rather than `n` nested `Vec`s.
+/// Per-node engine state lives in struct-of-arrays form (`rngs`, `slot`,
+/// the `sent` bitset). Each awake node's [`Outbox`] is stored once per
+/// round, and receivers pull their inboxes from it directly.
 ///
 /// A scratch is reset at the start of every run, so reusing one never
 /// changes results: a run remains a pure function of
@@ -436,13 +347,16 @@ pub struct SimScratch<M> {
     rngs: Vec<SmallRng>,
     queue: WakeQueue,
     batch: Vec<NodeId>,
-    awake_stamp: Vec<Round>,
     /// Node id → dense index in the current sorted batch. Entries for
-    /// nodes outside the batch are stale and never read (the send loop
-    /// only looks up nodes whose `awake_stamp` matches the round).
+    /// nodes outside the batch are stale and never read (receivers only
+    /// look up neighbors marked in `sent`).
     slot: Vec<u32>,
-    arena: MsgArena<M>,
-    stages: Vec<SendStage<M>>,
+    /// Bit `v` set ⇔ node `v` is awake this round with a non-silent
+    /// outbox. Set after the send phase, cleared after receive.
+    sent: Vec<u64>,
+    /// The round's outboxes, indexed by batch slot.
+    outs: Vec<Outbox<M>>,
+    stages: Vec<ShardStage<M>>,
     actions: Vec<Action>,
 }
 
@@ -452,9 +366,9 @@ impl<M> Default for SimScratch<M> {
             rngs: Vec::new(),
             queue: WakeQueue::default(),
             batch: Vec::new(),
-            awake_stamp: Vec::new(),
             slot: Vec::new(),
-            arena: MsgArena::default(),
+            sent: Vec::new(),
+            outs: Vec::new(),
             stages: Vec::new(),
             actions: Vec::new(),
         }
@@ -482,11 +396,11 @@ impl<M> SimScratch<M> {
             self.queue.push(at, v);
         }
         self.batch.clear();
-        self.awake_stamp.clear();
-        self.awake_stamp.resize(n, 0);
         self.slot.clear();
         self.slot.resize(n, 0);
-        self.arena.clear();
+        self.sent.clear();
+        self.sent.resize(n.div_ceil(64), 0);
+        self.outs.clear();
         for stage in &mut self.stages {
             stage.clear();
         }
@@ -496,9 +410,70 @@ impl<M> SimScratch<M> {
 
 /// Below this many awake nodes per shard a round runs on the calling
 /// thread: spawning workers would cost more than the round itself.
-/// Results are unaffected either way — both paths stage and merge
-/// through the same buffers.
+/// Results are unaffected either way — both paths run the same shard
+/// code over the same buffers.
 const MIN_SHARD_BATCH: usize = 256;
+
+/// One shard's share of a round phase: a contiguous slice of the sorted
+/// batch, the per-node state covering its id range, its batch-slot
+/// entries, and its stage.
+struct Shard<'a, P, T, M> {
+    /// Node id of `nodes[0]` and `rngs[0]`: node `v`'s state sits at
+    /// index `v - base`.
+    base: NodeId,
+    batch: &'a [NodeId],
+    nodes: &'a mut [P],
+    rngs: &'a mut [SmallRng],
+    /// Per-slot entries aligned with `batch` (outboxes or actions).
+    slots: &'a mut [T],
+    stage: &'a mut ShardStage<M>,
+}
+
+/// Splits the round's sorted `batch` into `stages.len()` contiguous
+/// shards — equivalently, contiguous node-id ranges — and runs `work`
+/// on each: on the calling thread for one shard, otherwise on scoped
+/// worker threads. `slots` is index-aligned with `batch`.
+fn for_each_shard<P: Send, T: Send, M: Send>(
+    batch: &[NodeId],
+    nodes: &mut [P],
+    rngs: &mut [SmallRng],
+    slots: &mut [T],
+    stages: &mut [ShardStage<M>],
+    work: impl Fn(Shard<'_, P, T, M>) + Sync,
+) {
+    let (len, s) = (batch.len(), stages.len());
+    if let [stage] = stages {
+        return work(Shard { base: 0, batch, nodes, rngs, slots, stage });
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let (mut nodes, mut rngs, mut slots) = (nodes, rngs, slots);
+        let mut consumed = 0usize;
+        for (k, stage) in stages.iter_mut().enumerate() {
+            let (lo, hi) = (k * len / s, (k + 1) * len / s);
+            // The batch is sorted, so batch positions [lo, hi) span
+            // exactly ids [consumed, id_hi).
+            let id_hi = if hi == len { consumed + nodes.len() } else { batch[hi] as usize };
+            let (nodes_chunk, rest) = nodes.split_at_mut(id_hi - consumed);
+            nodes = rest;
+            let (rngs_chunk, rest) = rngs.split_at_mut(id_hi - consumed);
+            rngs = rest;
+            let (slots_chunk, rest) = slots.split_at_mut(hi - lo);
+            slots = rest;
+            let base = consumed as NodeId;
+            consumed = id_hi;
+            let shard = Shard {
+                base,
+                batch: &batch[lo..hi],
+                nodes: nodes_chunk,
+                rngs: rngs_chunk,
+                slots: slots_chunk,
+                stage,
+            };
+            scope.spawn(move || work(shard));
+        }
+    });
+}
 
 /// A configured simulation, ready to [`run`](Simulator::run).
 pub struct Simulator<P: Protocol> {
@@ -528,7 +503,7 @@ impl<P: Protocol> Simulator<P> {
     pub fn run(self) -> Result<RunReport<P::Output>, SimError>
     where
         P: Send,
-        P::Msg: Send,
+        P::Msg: Send + Sync,
     {
         let mut scratch = SimScratch::new();
         self.run_with_scratch(&mut scratch)
@@ -551,7 +526,7 @@ impl<P: Protocol> Simulator<P> {
     ) -> Result<RunReport<P::Output>, SimError>
     where
         P: Send,
-        P::Msg: Send + 'static,
+        P::Msg: Send + Sync + 'static,
     {
         let scratch = arena.of::<P::Msg>();
         self.run_with_scratch(scratch)
@@ -566,9 +541,9 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// When [`SimConfig::shards`] asks for intra-run parallelism, each
     /// round's send and receive loops are split over scoped worker
-    /// threads by contiguous node-id range; staging buffers plus a
-    /// deterministic sender-id-ordered merge keep outputs and metrics
-    /// byte-identical to the serial path.
+    /// threads by contiguous node-id range. Senders only write their own
+    /// outbox slots and receivers only read them, so outputs and metrics
+    /// are byte-identical to the serial path.
     ///
     /// # Errors
     ///
@@ -579,7 +554,7 @@ impl<P: Protocol> Simulator<P> {
     ) -> Result<RunReport<P::Output>, SimError>
     where
         P: Send,
-        P::Msg: Send,
+        P::Msg: Send + Sync,
     {
         let Simulator { graph, mut nodes, config } = self;
         let n = graph.n();
@@ -593,7 +568,7 @@ impl<P: Protocol> Simulator<P> {
         let shards = crate::batch::resolve_threads(config.shards);
         let mut metrics = Metrics::new(n, config.record_wake_history);
         scratch.reset(n, seed, &fault);
-        let SimScratch { rngs, queue, batch, awake_stamp, slot, arena, stages, actions } = scratch;
+        let SimScratch { rngs, queue, batch, slot, sent, outs, stages, actions } = scratch;
         let mut live = n;
 
         // Tracing (observational only): lock the attached sink once for
@@ -645,199 +620,93 @@ impl<P: Protocol> Simulator<P> {
             }
 
             batch.sort_unstable();
-            let stamp = round + 1; // nonzero marker for "awake this round"
             for (i, &v) in batch.iter().enumerate() {
-                awake_stamp[v as usize] = stamp;
                 slot[v as usize] = i as u32;
             }
-            // Bookkeeping splits around the round: crash filtering +
-            // sort/stamp above, the apply loop below; the two slices are
-            // summed into one `Bookkeeping` phase event.
-            let book_pre_ns = round_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-            let send_t0 = tracing.then(Instant::now);
-
-            // Send phase: each shard scans a contiguous slice of the
-            // sorted batch — equivalently, a contiguous node-id range —
-            // in id order, staging deliveries into its own buffer.
-            // Rounds too small to amortize a spawn stay on this thread;
-            // both paths flow through the same staging + merge, so the
-            // choice never shows up in results.
             let len = batch.len();
             let s = shards.min(len / MIN_SHARD_BATCH).max(1);
             while stages.len() < s {
-                stages.push(SendStage::default());
+                stages.push(ShardStage::default());
             }
-            for stage in stages[..s].iter_mut() {
+            let stages = &mut stages[..s];
+            for stage in stages.iter_mut() {
                 stage.clear();
             }
-            if s == 1 {
-                send_shard(
-                    &graph,
-                    &mut nodes[..],
-                    &mut rngs[..],
-                    0,
-                    batch,
-                    awake_stamp,
-                    slot,
-                    stamp,
-                    round,
-                    n_upper,
-                    seed,
-                    &fault,
-                    bit_limit,
-                    &mut stages[0],
-                );
-            } else {
-                std::thread::scope(|scope| {
-                    let mut nodes_rest = &mut nodes[..];
-                    let mut rngs_rest = &mut rngs[..];
-                    let mut consumed = 0usize;
-                    for (k, stage) in stages[..s].iter_mut().enumerate() {
-                        let (lo, hi) = (k * len / s, (k + 1) * len / s);
-                        // The batch is sorted, so batch positions
-                        // [lo, hi) span exactly ids [consumed, id_hi).
-                        let id_hi = if hi == len { n } else { batch[hi] as usize };
-                        let (nodes_chunk, rest) = nodes_rest.split_at_mut(id_hi - consumed);
-                        nodes_rest = rest;
-                        let (rngs_chunk, rest) = rngs_rest.split_at_mut(id_hi - consumed);
-                        rngs_rest = rest;
-                        let base = consumed as NodeId;
-                        consumed = id_hi;
-                        let batch_slice = &batch[lo..hi];
-                        let (graph, awake_stamp, slot, fault) =
-                            (&graph, &awake_stamp[..], &slot[..], &fault);
-                        scope.spawn(move || {
-                            send_shard(
-                                graph,
-                                nodes_chunk,
-                                rngs_chunk,
-                                base,
-                                batch_slice,
-                                awake_stamp,
-                                slot,
-                                stamp,
-                                round,
-                                n_upper,
-                                seed,
-                                fault,
-                                bit_limit,
-                                stage,
-                            );
-                        });
-                    }
-                });
-            }
+            outs.clear();
+            outs.resize_with(len, || Outbox::Silent);
+            // Bookkeeping splits around the round: crash filtering, sort
+            // and slot table above, the apply loop below; the two slices
+            // are summed into one `Bookkeeping` phase event.
+            let book_pre_ns = round_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+            let send_t0 = tracing.then(Instant::now);
+
+            // Send phase: every awake node stores its outbox once, in its
+            // batch slot. Rounds too small to amortize a spawn stay on
+            // this thread; the choice never shows up in results.
+            for_each_shard(batch, &mut nodes, rngs, outs, stages, |sh| {
+                send_shard(sh, &graph, round, n_upper, bit_limit)
+            });
             if let Some(t) = trace_guard.as_deref_mut() {
                 let nanos = send_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
                 t.event(&TraceEvent::Phase { round, phase: TracePhase::Send, nanos });
-                // Staged counts are read before `fill_from` drains them.
-                for (k, stage) in stages[..s].iter().enumerate() {
+                for (k, stage) in stages.iter().enumerate() {
                     let (lo, hi) = (k * len / s, (k + 1) * len / s);
                     t.event(&TraceEvent::ShardBatch {
                         round,
                         shard: k,
                         nodes: hi - lo,
-                        messages: stage.msgs.len(),
+                        messages: stage.sent as usize,
                     });
                 }
             }
             let merge_t0 = tracing.then(Instant::now);
-            // Per-round message deltas for the trace, from counter
-            // snapshots (the merge below only ever adds).
-            let (deliv0, lost0, fault0) =
-                (metrics.messages_delivered, metrics.messages_lost, metrics.messages_faulted);
             // Shards cover ascending id ranges, so the first erroring
             // shard's first error is exactly what the serial loop would
             // have returned.
-            for stage in stages[..s].iter_mut() {
+            let mut sent_round = 0;
+            for stage in stages.iter_mut() {
                 if let Some(err) = stage.err.take() {
                     break 'rounds Err(err);
                 }
-            }
-            // Counter merge: sums and a max — commutative, so the total
-            // is independent of how the batch was split.
-            for stage in stages[..s].iter() {
-                metrics.messages_sent += stage.sent;
-                metrics.messages_delivered += stage.delivered;
-                metrics.messages_lost += stage.lost;
-                metrics.messages_faulted += stage.faulted;
+                sent_round += stage.sent;
                 metrics.max_message_bits = metrics.max_message_bits.max(stage.max_bits);
                 metrics.total_message_bits += stage.total_bits;
             }
-
-            arena.fill_from(&mut stages[..s], len);
-
+            for (out, &v) in outs.iter().zip(batch.iter()) {
+                if !out.is_silent() {
+                    sent[v as usize / 64] |= 1 << (v % 64);
+                }
+            }
             if let Some(t) = trace_guard.as_deref_mut() {
                 let nanos = merge_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
                 t.event(&TraceEvent::Phase { round, phase: TracePhase::Merge, nanos });
             }
             let recv_t0 = tracing.then(Instant::now);
 
-            // Receive phase: same shard layout; each worker owns its
-            // contiguous region of the arena (receivers in its id range)
-            // and records actions for the serial apply step below.
+            // Receive phase, same shard layout: each receiver pulls from
+            // its marked neighbors' outboxes and records its action for
+            // the serial apply step below.
             actions.clear();
             actions.resize(len, Action::Continue);
-            if s == 1 {
-                receive_shard(
-                    &graph,
-                    &mut nodes[..],
-                    &mut rngs[..],
-                    0,
-                    batch,
-                    0,
-                    &arena.offsets,
-                    &mut arena.data[..],
-                    0,
-                    round,
-                    n_upper,
-                    &mut actions[..],
-                );
-            } else {
-                std::thread::scope(|scope| {
-                    let mut nodes_rest = &mut nodes[..];
-                    let mut rngs_rest = &mut rngs[..];
-                    let mut data_rest = &mut arena.data[..];
-                    let mut actions_rest = &mut actions[..];
-                    let mut consumed = 0usize;
-                    let mut data_consumed = 0usize;
-                    for k in 0..s {
-                        let (lo, hi) = (k * len / s, (k + 1) * len / s);
-                        let id_hi = if hi == len { n } else { batch[hi] as usize };
-                        let (nodes_chunk, rest) = nodes_rest.split_at_mut(id_hi - consumed);
-                        nodes_rest = rest;
-                        let (rngs_chunk, rest) = rngs_rest.split_at_mut(id_hi - consumed);
-                        rngs_rest = rest;
-                        let data_hi = arena.offsets[hi];
-                        let (data_chunk, rest) = data_rest.split_at_mut(data_hi - data_consumed);
-                        data_rest = rest;
-                        let (actions_chunk, rest) = actions_rest.split_at_mut(hi - lo);
-                        actions_rest = rest;
-                        let base = consumed as NodeId;
-                        let data0 = data_consumed;
-                        consumed = id_hi;
-                        data_consumed = data_hi;
-                        let batch_slice = &batch[lo..hi];
-                        let (graph, offsets) = (&graph, &arena.offsets[..]);
-                        scope.spawn(move || {
-                            receive_shard(
-                                graph,
-                                nodes_chunk,
-                                rngs_chunk,
-                                base,
-                                batch_slice,
-                                lo,
-                                offsets,
-                                data_chunk,
-                                data0,
-                                round,
-                                n_upper,
-                                actions_chunk,
-                            );
-                        });
-                    }
-                });
+            let (outs, sent_bits, slot) = (&outs[..], &sent[..], &slot[..]);
+            for_each_shard(batch, &mut nodes, rngs, actions, stages, |sh| {
+                receive_shard(sh, &graph, outs, sent_bits, slot, round, n_upper, seed, &fault)
+            });
+            for &v in batch.iter() {
+                sent[v as usize / 64] = 0;
             }
+            let (mut delivered_round, mut faulted_round) = (0, 0);
+            for stage in stages.iter() {
+                delivered_round += stage.delivered;
+                faulted_round += stage.faulted;
+            }
+            // Every copy not pulled by an awake receiver went to a
+            // sleeping (or crashed) neighbor.
+            let lost_round = sent_round - delivered_round - faulted_round;
+            metrics.messages_sent += sent_round;
+            metrics.messages_delivered += delivered_round;
+            metrics.messages_lost += lost_round;
+            metrics.messages_faulted += faulted_round;
 
             if let Some(t) = trace_guard.as_deref_mut() {
                 let nanos = recv_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
@@ -880,14 +749,16 @@ impl<P: Protocol> Simulator<P> {
                     phase: TracePhase::Bookkeeping,
                     nanos: book_pre_ns + apply_ns,
                 });
+                let inbox_slots: usize = stages.iter().map(|st| st.inbox.capacity()).sum();
                 t.event(&TraceEvent::RoundEnd {
                     round,
                     nanos: round_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
-                    delivered: metrics.messages_delivered - deliv0,
-                    lost: metrics.messages_lost - lost0,
-                    faulted: metrics.messages_faulted - fault0,
+                    delivered: delivered_round,
+                    lost: lost_round,
+                    faulted: faulted_round,
                     crashed: crashed_round,
-                    arena_bytes: arena.data.len() * std::mem::size_of::<(Port, P::Msg)>(),
+                    arena_bytes: std::mem::size_of_val(outs)
+                        + inbox_slots * std::mem::size_of::<(Port, P::Msg)>(),
                 });
             }
         };
@@ -916,111 +787,100 @@ impl<P: Protocol> Simulator<P> {
     }
 }
 
-/// One shard of a round's send phase: scans `batch` — a contiguous slice
-/// of the round's sorted batch — in id order, staging every deliverable
-/// message into `stage`. `nodes` and `rngs` are the chunks of the
-/// per-node arrays covering ids `base..`, so node `v`'s state sits at
-/// index `v - base`.
-#[allow(clippy::too_many_arguments)]
+/// One shard of a round's send phase: calls `send` on each awake node in
+/// id order and stores the outbox in the node's batch slot. Bits and
+/// copies are accounted here; unicast ports are checked against the
+/// sender's degree, and unicast lists are sorted stably by port so a
+/// receiver finds its run with a binary search.
 fn send_shard<P: Protocol>(
+    sh: Shard<'_, P, Outbox<P::Msg>, P::Msg>,
     graph: &Graph,
-    nodes: &mut [P],
-    rngs: &mut [SmallRng],
-    base: NodeId,
-    batch: &[NodeId],
-    awake_stamp: &[Round],
+    round: Round,
+    n_upper: usize,
+    bit_limit: Option<usize>,
+) {
+    let Shard { base, batch, nodes, rngs, slots: outs, stage } = sh;
+    for (k, &v) in batch.iter().enumerate() {
+        let i = (v - base) as usize;
+        let degree = graph.degree(v);
+        let mut ctx = NodeCtx { node: v, degree, round, n_upper, rng: &mut rngs[i] };
+        let mut out = nodes[i].send(&mut ctx);
+        match &mut out {
+            Outbox::Silent => {}
+            Outbox::Broadcast(msg) => {
+                if !stage.account(v, round, msg.bits(), degree, bit_limit) {
+                    return;
+                }
+            }
+            Outbox::Unicast(list) => {
+                for (p, msg) in list.iter() {
+                    if !stage.account(v, round, msg.bits(), 1, bit_limit) {
+                        return;
+                    }
+                    assert!((*p as usize) < degree, "port {p} out of range at node {v}");
+                }
+                if !list.is_sorted_by_key(|&(p, _)| p) {
+                    list.sort_by_key(|&(p, _)| p);
+                }
+            }
+        }
+        outs[k] = out;
+    }
+}
+
+/// One shard of a round's receive phase: each receiver walks its ports
+/// in order and, for every neighbor marked in `sent`, pulls the copies
+/// that neighbor sent through the edge, then `receive` runs on the
+/// assembled inbox. Port order is sender-id order because neighbor lists
+/// are sorted by id.
+#[allow(clippy::too_many_arguments)]
+fn receive_shard<P: Protocol>(
+    sh: Shard<'_, P, Action, P::Msg>,
+    graph: &Graph,
+    outs: &[Outbox<P::Msg>],
+    sent: &[u64],
     slot: &[u32],
-    stamp: Round,
     round: Round,
     n_upper: usize,
     seed: u64,
     fault: &FaultModel,
-    bit_limit: Option<usize>,
-    stage: &mut SendStage<P::Msg>,
 ) {
-    for &v in batch {
-        let i = (v - base) as usize;
-        let degree = graph.degree(v);
-        let mut ctx = NodeCtx { node: v, degree, round, n_upper, rng: &mut rngs[i] };
-        match nodes[i].send(&mut ctx) {
-            Outbox::Silent => {}
-            Outbox::Broadcast(msg) => {
-                let bits = crate::message::MessageSize::bits(&msg);
-                if !stage.account(v, round, bits, degree, bit_limit) {
-                    return;
-                }
-                for p in 0..degree as Port {
-                    let (u, q) = graph.endpoint(v, p);
-                    if awake_stamp[u as usize] == stamp {
-                        // Lossy links drop deliverable copies i.i.d.,
-                        // keyed by (sender, port, round) — independent
-                        // of the shard layout.
-                        if fault.loss > 0.0
-                            && fault_unit(seed, FAULT_LOSS, loss_site(v, p), round) < fault.loss
-                        {
-                            stage.faulted += 1;
-                        } else {
-                            // For `Copy` messages this clone is a plain
-                            // memcpy into the staging buffer.
-                            stage.msgs.push((slot[u as usize], q, msg.clone()));
-                            stage.delivered += 1;
-                        }
-                    } else {
-                        stage.lost += 1;
-                    }
+    let Shard { base, batch, nodes, rngs, slots: actions, stage } = sh;
+    for (k, &u) in batch.iter().enumerate() {
+        let inbox = &mut stage.inbox;
+        inbox.clear();
+        for (q, &v) in graph.neighbors(u).iter().enumerate() {
+            if (sent[v as usize / 64] >> (v % 64)) & 1 == 0 {
+                continue;
+            }
+            let q = q as Port;
+            let (_, p) = graph.endpoint(u, q);
+            let before = inbox.len();
+            match &outs[slot[v as usize] as usize] {
+                Outbox::Silent => {}
+                Outbox::Broadcast(msg) => inbox.push((q, msg.clone())),
+                Outbox::Unicast(list) => {
+                    let run = &list[list.partition_point(|&(pp, _)| pp < p)..];
+                    let run = run.iter().take_while(|&&(pp, _)| pp == p);
+                    inbox.extend(run.map(|(_, msg)| (q, msg.clone())));
                 }
             }
-            Outbox::Unicast(list) => {
-                for (p, msg) in list {
-                    let bits = crate::message::MessageSize::bits(&msg);
-                    if !stage.account(v, round, bits, 1, bit_limit) {
-                        return;
-                    }
-                    let (u, q) = graph.endpoint(v, p);
-                    if awake_stamp[u as usize] == stamp {
-                        if fault.loss > 0.0
-                            && fault_unit(seed, FAULT_LOSS, loss_site(v, p), round) < fault.loss
-                        {
-                            stage.faulted += 1;
-                        } else {
-                            stage.msgs.push((slot[u as usize], q, msg));
-                            stage.delivered += 1;
-                        }
-                    } else {
-                        stage.lost += 1;
-                    }
-                }
+            // Lossy links drop the copies on one edge endpoint together,
+            // keyed by (sender, sender port, round) — independent of the
+            // shard that pulls them.
+            let copies = inbox.len() - before;
+            if copies > 0
+                && fault.loss > 0.0
+                && fault_unit(seed, FAULT_LOSS, loss_site(v, p), round) < fault.loss
+            {
+                stage.faulted += copies as u64;
+                inbox.truncate(before);
             }
         }
-    }
-}
-
-/// One shard of a round's receive phase: sorts each receiver's arena
-/// segment by port, delivers it, and records the chosen [`Action`].
-/// `data` is this shard's contiguous slice of the arena starting at
-/// global index `data0`; `pos0` is the global batch position of
-/// `batch[0]` (for indexing the global `offsets`).
-#[allow(clippy::too_many_arguments)]
-fn receive_shard<P: Protocol>(
-    graph: &Graph,
-    nodes: &mut [P],
-    rngs: &mut [SmallRng],
-    base: NodeId,
-    batch: &[NodeId],
-    pos0: usize,
-    offsets: &[usize],
-    data: &mut [(Port, P::Msg)],
-    data0: usize,
-    round: Round,
-    n_upper: usize,
-    actions: &mut [Action],
-) {
-    for (k, &v) in batch.iter().enumerate() {
-        let i = (v - base) as usize;
-        let inbox = &mut data[offsets[pos0 + k] - data0..offsets[pos0 + k + 1] - data0];
-        inbox.sort_unstable_by_key(|&(p, _)| p);
+        stage.delivered += inbox.len() as u64;
+        let i = (u - base) as usize;
         let mut ctx =
-            NodeCtx { node: v, degree: graph.degree(v), round, n_upper, rng: &mut rngs[i] };
+            NodeCtx { node: u, degree: graph.degree(u), round, n_upper, rng: &mut rngs[i] };
         actions[k] = nodes[i].receive(&mut ctx, inbox);
     }
 }

@@ -81,7 +81,8 @@ pub trait Protocol {
 
     /// Receive step. `inbox` holds `(port, message)` pairs from neighbors
     /// that were awake and sent through the corresponding edge this
-    /// round, in increasing port order.
+    /// round, in increasing port order. A neighbor's unicasts through
+    /// the same edge arrive together, in the order of its unicast list.
     fn receive(&mut self, ctx: &mut NodeCtx, inbox: &[(Port, Self::Msg)]) -> Action;
 
     /// The local output. Called once per node after the run completes.

@@ -4,8 +4,8 @@
 //! The engine emits a [`TraceEvent`] stream describing *when* work
 //! happens inside a run — round boundaries, per-phase wall-clock
 //! (send/merge/receive/bookkeeping), wake-queue occupancy, per-shard
-//! batch sizes, [`MsgArena`](crate::engine) high-water bytes, and
-//! fault-drop counts. A sink is attached through
+//! batch sizes, delivery-buffer high-water bytes (the round's outbox
+//! slots plus the shards' inbox buffers), and fault-drop counts. A sink is attached through
 //! [`SimConfig::trace`](crate::SimConfig); with no sink attached the
 //! engine takes no timestamps and allocates nothing — every event site
 //! is a single `Option` check.
@@ -59,12 +59,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// The engine phases a round's wall-clock is split into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TracePhase {
-    /// Protocol `send` callbacks and outbox staging (possibly sharded).
+    /// Protocol `send` callbacks, storing each outbox once in its batch
+    /// slot (possibly sharded).
     Send,
-    /// Error propagation, counter merge, and the counting-sort merge of
-    /// per-shard outboxes into the delivery arena.
+    /// Error propagation, the sum of the shards' send counters, and
+    /// marking the round's senders for the receivers to pull from. No
+    /// message is moved in this phase.
     Merge,
-    /// Protocol `receive` callbacks over the delivered inboxes.
+    /// Receivers pulling their inboxes from awake neighbors' outboxes,
+    /// then the protocol `receive` callbacks (possibly sharded).
     Receive,
     /// Everything else the round does serially: crash-fault filtering,
     /// batch sorting and stamping before send, and the wake-queue /
@@ -128,7 +131,8 @@ pub enum TraceEvent {
         shard: usize,
         /// Awake nodes this shard processed.
         nodes: usize,
-        /// Message copies this shard staged.
+        /// Message copies this shard's nodes sent (`degree` per
+        /// broadcast, one per unicast entry), delivered or not.
         messages: usize,
     },
     /// Wall-clock spent in one phase of a round.
@@ -154,7 +158,8 @@ pub enum TraceEvent {
         faulted: u64,
         /// Nodes crashed by the fault model this round.
         crashed: usize,
-        /// Delivery-arena footprint after the merge, in bytes.
+        /// Delivery footprint at the end of the round, in bytes: the
+        /// round's outbox slots plus the shards' inbox buffers.
         arena_bytes: usize,
     },
     /// A run finished (successfully or not).
@@ -351,8 +356,8 @@ pub struct Profile {
     queue_max: usize,
     arena_high_water: usize,
     shard_events: u64,
-    /// Per-round max/min staged message counts, summed — their ratio
-    /// estimates send-phase imbalance.
+    /// Per-round max/min per-shard sent-copy counts, summed — their
+    /// ratio estimates send-phase imbalance.
     round_shard_max: u64,
     round_shard_min: u64,
     /// Scratch: shard extremes of the round being observed.

@@ -90,6 +90,59 @@ fn different_seeds_diverge() {
     assert_ne!(outs_a, outs_b, "different seeds produced identical transcripts");
 }
 
+/// Unicast-heavy protocol: every wake draws a mode — silent, broadcast,
+/// or an unsorted unicast list that repeats one port — so sharded
+/// receivers must rebuild per-port runs in the sender's list order.
+#[derive(Debug, Clone)]
+struct UniMix {
+    wakes_left: u32,
+    trace: Vec<u64>,
+}
+
+impl Protocol for UniMix {
+    type Msg = u64;
+    type Output = Vec<u64>;
+
+    fn send(&mut self, ctx: &mut NodeCtx) -> Outbox<u64> {
+        let payload: u64 = ctx.rng.gen();
+        match ctx.rng.gen_range(0..4u8) {
+            0 => Outbox::Silent,
+            1 => Outbox::Broadcast(payload),
+            _ if ctx.degree == 0 => Outbox::Silent,
+            _ => {
+                // Descending ports, a random subset, plus one port
+                // repeated at both ends of the list.
+                let mut list: Vec<(Port, u64)> = (0..ctx.degree as Port)
+                    .rev()
+                    .filter(|_| ctx.rng.gen_bool(0.5))
+                    .map(|p| (p, payload ^ p as u64))
+                    .collect();
+                let dup = ctx.rng.gen_range(0..ctx.degree) as Port;
+                list.insert(0, (dup, payload));
+                list.push((dup, !payload));
+                Outbox::Unicast(list)
+            }
+        }
+    }
+
+    fn receive(&mut self, ctx: &mut NodeCtx, inbox: &[(Port, u64)]) -> Action {
+        for &(p, m) in inbox {
+            self.trace.push(m ^ p as u64);
+        }
+        self.wakes_left -= 1;
+        if self.wakes_left == 0 {
+            Action::Terminate
+        } else {
+            let gap = ctx.rng.gen_range(1..4u64);
+            Action::SleepUntil(ctx.round + gap)
+        }
+    }
+
+    fn output(&self) -> Vec<u64> {
+        self.trace.clone()
+    }
+}
+
 #[test]
 fn shard_counts_are_byte_identical_under_faults() {
     // Intra-run sharding is an execution knob: outputs and the full
@@ -98,7 +151,7 @@ fn shard_counts_are_byte_identical_under_faults() {
     // resharding, so loss, crashes, and wake jitter are all active —
     // their draws are keyed by (site, round) and must not notice the
     // batch being split. 20k nodes keeps per-round batches large enough
-    // that shards > 1 actually take the parallel staging path.
+    // that shards > 1 actually take the parallel path.
     let run = |shards: usize| {
         let g = generators::path(20_000);
         let nodes = (0..g.n()).map(|_| RandWalk::new(4)).collect();
@@ -124,6 +177,36 @@ fn shard_counts_are_byte_identical_under_faults() {
         let (outs, metrics) = run(shards);
         assert_eq!(outs_serial, outs, "shards={shards}: outputs diverged from serial");
         assert_eq!(metrics_serial, metrics, "shards={shards}: metrics diverged from serial");
+    }
+
+    // Unicast input: 3000 nodes with 1–3 round sleep gaps keep well over
+    // 2 × 256 nodes (the engine's per-shard floor) awake per round, so
+    // shards > 1 split the batch; loss applies to every unicast copy.
+    let run_unicast = |shards: usize| {
+        let g = generators::gnp(3000, 0.004, &mut {
+            use rand::SeedableRng;
+            rand::rngs::SmallRng::seed_from_u64(21)
+        });
+        let nodes = (0..g.n()).map(|_| UniMix { wakes_left: 5, trace: Vec::new() }).collect();
+        let cfg = SimConfig {
+            record_wake_history: true,
+            shards,
+            fault: FaultModel { loss: 0.2, ..FaultModel::none() },
+            ..SimConfig::seeded(12)
+        };
+        let report = Simulator::new(g, nodes, cfg).run().expect("run");
+        (report.outputs, report.metrics)
+    };
+    let (outs_serial, metrics_serial) = run_unicast(1);
+    assert!(metrics_serial.messages_faulted > 0, "loss 0.2 must drop something");
+    assert!(metrics_serial.messages_lost > 0, "sleep gaps must strand some copies");
+    let wake = metrics_serial.wake_history.as_ref().expect("recorded");
+    let round1 = wake.iter().filter(|h| h.contains(&1)).count();
+    assert!(round1 > 2 * 256, "round 1 must wake enough nodes to shard: {round1}");
+    for shards in [2, 8, 0] {
+        let (outs, metrics) = run_unicast(shards);
+        assert_eq!(outs_serial, outs, "unicast shards={shards}: outputs diverged from serial");
+        assert_eq!(metrics_serial, metrics, "unicast shards={shards}: metrics diverged");
     }
 }
 
