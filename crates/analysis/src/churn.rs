@@ -20,9 +20,13 @@
 //! comparison) lives only in the `meta`/`timing` lines appended by
 //! [`ChurnResult::to_json`].
 
-use crate::grid::{json_escape, point_from_run, summary_json, GridJob, GridPoint};
+use crate::experiment::{
+    distinct, document, fan_out, json_escape, list, meta_lines, quoted, summary, summary_json,
+    Axes,
+};
+use crate::grid::{point_from_run, GridJob, GridMeta, GridPoint};
 use crate::runners::AlgoResult;
-use crate::spec::RunnerHandle;
+use crate::spec::{RunnerHandle, SpecError};
 use crate::stats::Summary;
 use awake_mis_core::incremental::{repair, RepairConfig, SubSolution};
 use awake_mis_core::MisState;
@@ -30,7 +34,6 @@ use graphgen::delta::{DeltaBatch, DeltaError, DynGraph};
 use graphgen::{Graph, GraphFamily, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sleeping_congest::batch::{resolve_threads, run_batch};
 use sleeping_congest::{ScratchArena, SimError};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -76,27 +79,26 @@ pub struct ChurnSpec {
 }
 
 impl ChurnSpec {
+    fn axes(&self) -> Axes<'_> {
+        Axes::new(&self.algorithms, &self.families, &self.sizes, &self.seeds)
+    }
+
     /// The grid flattened to jobs (algorithm-major, seed-minor).
     pub fn jobs(&self) -> Vec<ChurnJob> {
-        let mut jobs = Vec::new();
-        for algorithm in &self.algorithms {
-            for &family in &self.families {
-                for &n in &self.sizes {
-                    for &rate in &self.rates {
-                        for &seed in &self.seeds {
-                            jobs.push(ChurnJob {
-                                algorithm: algorithm.clone(),
-                                family,
-                                n,
-                                rate,
-                                seed,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        jobs
+        self.axes().jobs(&self.rates, |algorithm, family, n, rate, seed| ChurnJob {
+            algorithm: algorithm.clone(),
+            family,
+            n,
+            rate,
+            seed,
+        })
+    }
+
+    /// Rejects an algorithm, family, size, rate or seed listed twice:
+    /// two cells would share one key.
+    fn check_axes(&self) -> Result<(), SpecError> {
+        self.axes().check()?;
+        distinct("rate", &self.rates)
     }
 }
 
@@ -547,16 +549,12 @@ pub fn run_churn_point(
         recompute_ns: 0,
         bootstrap,
     };
-    let Some(r) = result else {
+    // Can't service from an aborted run or an invalid MIS; report the
+    // bootstrap and stop.
+    let Some(r) = result.filter(|_| point.correct) else {
         point.elapsed_ns = start.elapsed().as_nanos() as u64;
         return point;
     };
-    if !point.correct {
-        // Can't service from an invalid MIS; report the bootstrap and
-        // stop.
-        point.elapsed_ns = start.elapsed().as_nanos() as u64;
-        return point;
-    }
 
     let mut service =
         MisService::from_parts(job.algorithm.clone(), DynGraph::new(g), r.states, job.seed);
@@ -626,43 +624,20 @@ pub fn run_churn_point(
 /// with per-worker scratch reuse. Points and cells come back in grid
 /// order and — wall-clock fields apart — bit-identical for every
 /// thread count.
-pub fn run_churn(spec: &ChurnSpec) -> ChurnResult {
-    let jobs = spec.jobs();
-    let threads = resolve_threads(spec.threads);
-    let points = run_batch(&jobs, threads, |_| ScratchArena::new(), |scratch, _i, job| {
+///
+/// # Errors
+///
+/// [`SpecError::DuplicateKey`] when an axis lists a value twice.
+pub fn run_churn(spec: &ChurnSpec) -> Result<ChurnResult, SpecError> {
+    spec.check_axes()?;
+    let points = fan_out(&spec.jobs(), spec.threads, |scratch, job| {
         run_churn_point(job, spec, scratch)
     });
-    let cells = aggregate(spec, &points);
-    ChurnResult { spec: spec.clone(), points, cells }
-}
-
-fn aggregate(spec: &ChurnSpec, points: &[ChurnPoint]) -> Vec<ChurnCell> {
-    let runs = spec.seeds.len();
-    if runs == 0 {
-        return Vec::new();
-    }
-    points
-        .chunks(runs)
-        .map(|chunk| {
-            let head = &chunk[0].job;
-            let woken_ratio: Vec<f64> = chunk.iter().map(|p| p.woken_ratio).collect();
-            let awake_per_delta: Vec<f64> = chunk.iter().map(|p| p.awake_per_delta).collect();
-            let repair_rounds: Vec<u64> = chunk.iter().map(|p| p.repair_rounds).collect();
-            ChurnCell {
-                algorithm: head.algorithm.clone(),
-                family: head.family,
-                n: head.n,
-                rate: head.rate,
-                runs,
-                deltas: chunk.iter().map(|p| p.deltas).sum(),
-                woken_ratio: Summary::of(&woken_ratio),
-                awake_per_delta: Summary::of(&awake_per_delta),
-                repair_rounds: Summary::of_u64(&repair_rounds),
-                retries: chunk.iter().map(|p| p.retries).sum(),
-                all_correct: chunk.iter().all(|p| p.correct),
-            }
-        })
-        .collect()
+    let cells = match spec.seeds.len() {
+        0 => Vec::new(),
+        runs => points.chunks(runs).map(ChurnCell::of).collect(),
+    };
+    Ok(ChurnResult { spec: spec.clone(), points, cells })
 }
 
 impl ChurnPoint {
@@ -704,6 +679,24 @@ impl ChurnPoint {
 }
 
 impl ChurnCell {
+    /// Aggregates one cell's points (its seeds, in seed order).
+    fn of(chunk: &[ChurnPoint]) -> ChurnCell {
+        let head = &chunk[0].job;
+        ChurnCell {
+            algorithm: head.algorithm.clone(),
+            family: head.family,
+            n: head.n,
+            rate: head.rate,
+            runs: chunk.len(),
+            deltas: chunk.iter().map(|p| p.deltas).sum(),
+            woken_ratio: summary(chunk, |p| p.woken_ratio),
+            awake_per_delta: summary(chunk, |p| p.awake_per_delta),
+            repair_rounds: summary(chunk, |p| p.repair_rounds as f64),
+            retries: chunk.iter().map(|p| p.retries).sum(),
+            all_correct: chunk.iter().all(|p| p.correct),
+        }
+    }
+
     /// The payload fields that identify one churn cell, in key order.
     pub const KEY_FIELDS: [&'static str; 4] = ["algorithm", "family", "n", "rate"];
 
@@ -753,10 +746,12 @@ impl ChurnResult {
     }
 
     fn json_with_meta(&self, meta: Option<&ChurnMeta>) -> String {
-        let mut out = String::from("{\n  \"schema\": \"awake-mis/bench-churn/v1\",\n");
-        if let Some(m) = meta {
-            let serve = match &m.serve {
-                Some(s) => format!(
+        let meta = meta.map(|m| {
+            let grid = GridMeta { threads: m.threads, wall_ms: m.wall_ms };
+            let elapsed = self.points.iter().map(|p| p.elapsed_ns);
+            let [mut meta, mut timing] = meta_lines(&grid, elapsed);
+            if let Some(s) = &m.serve {
+                meta.push_str(&format!(
                     ", \"serve\": {{\"n\": {}, \"algorithm\": \"{}\", \"batches\": {}, \
                      \"deltas\": {}, \"wall_ms\": {}, \"deltas_per_sec\": {}}}",
                     s.n,
@@ -765,54 +760,31 @@ impl ChurnResult {
                     s.deltas,
                     s.wall_ms,
                     s.deltas_per_sec,
-                ),
-                None => String::new(),
-            };
-            out.push_str(&format!(
-                "  \"meta\": {{\"threads\": {}, \"wall_ms\": {}{serve}}},\n",
-                m.threads, m.wall_ms
-            ));
-            let ns: Vec<String> = self.points.iter().map(|p| p.elapsed_ns.to_string()).collect();
-            let rns: Vec<String> =
-                self.points.iter().map(|p| p.recompute_ns.to_string()).collect();
-            out.push_str(&format!(
-                "  \"timing\": {{\"elapsed_ns\": [{}], \"recompute_ns\": [{}]}},\n",
-                ns.join(", "),
-                rns.join(", ")
-            ));
-        }
-        let algorithms: Vec<String> = self
-            .spec
-            .algorithms
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a.key())))
-            .collect();
-        let families: Vec<String> =
-            self.spec.families.iter().map(|f| format!("\"{}\"", f.key())).collect();
-        let sizes: Vec<String> = self.spec.sizes.iter().map(|n| n.to_string()).collect();
-        let rates: Vec<String> = self.spec.rates.iter().map(|r| r.to_string()).collect();
-        let seeds: Vec<String> = self.spec.seeds.iter().map(|s| s.to_string()).collect();
-        out.push_str(&format!(
-            "  \"spec\": {{\"algorithms\": [{}], \"families\": [{}], \"sizes\": [{}], \
-             \"rates\": [{}], \"epochs\": {}, \"insert_frac\": {}, \"node_churn\": {}, \
-             \"seeds\": [{}]}},\n",
-            algorithms.join(", "),
-            families.join(", "),
-            sizes.join(", "),
-            rates.join(", "),
+                ));
+            }
+            let recompute = list(self.points.iter().map(|p| p.recompute_ns));
+            timing.push_str(&format!(", \"recompute_ns\": [{recompute}]"));
+            [meta, timing]
+        });
+        let spec = format!(
+            "\"algorithms\": [{}], \"families\": [{}], \"sizes\": [{}], \"rates\": [{}], \
+             \"epochs\": {}, \"insert_frac\": {}, \"node_churn\": {}, \"seeds\": [{}]",
+            quoted(self.spec.algorithms.iter().map(RunnerHandle::key)),
+            quoted(self.spec.families.iter().map(|f| f.key())),
+            list(&self.spec.sizes),
+            list(&self.spec.rates),
             self.spec.epochs,
             self.spec.insert_frac,
             self.spec.node_churn,
-            seeds.join(", "),
-        ));
-        out.push_str("  \"cells\": [\n");
-        let cells: Vec<String> = self.cells.iter().map(|c| format!("    {}", c.json())).collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ],\n  \"points\": [\n");
-        let points: Vec<String> = self.points.iter().map(|p| format!("    {}", p.json())).collect();
-        out.push_str(&points.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+            list(&self.spec.seeds),
+        );
+        document(
+            "awake-mis/bench-churn/v1",
+            meta,
+            &spec,
+            self.cells.iter().map(ChurnCell::json),
+            self.points.iter().map(ChurnPoint::json),
+        )
     }
 }
 
@@ -840,7 +812,7 @@ mod tests {
     #[test]
     fn churn_grid_shape_and_correctness() {
         let spec = tiny_spec(1);
-        let result = run_churn(&spec);
+        let result = run_churn(&spec).unwrap();
         // algorithms × families × sizes × rates (× seeds for points).
         let cells = spec.algorithms.len() * spec.families.len() * spec.sizes.len()
             * spec.rates.len();
@@ -866,8 +838,8 @@ mod tests {
     #[test]
     fn payload_is_deterministic_and_well_formed() {
         let spec = tiny_spec(1);
-        let a = run_churn(&spec).payload_json();
-        let b = run_churn(&spec).payload_json();
+        let a = run_churn(&spec).unwrap().payload_json();
+        let b = run_churn(&spec).unwrap().payload_json();
         assert_eq!(a, b);
         assert!(a.contains("\"schema\": \"awake-mis/bench-churn/v1\""));
         assert!(a.contains("\"woken_ratio\""));
@@ -875,6 +847,19 @@ mod tests {
         assert!(!a.contains("elapsed_ns"));
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
+    }
+
+    #[test]
+    fn duplicate_axis_values_are_rejected() {
+        assert!(tiny_spec(1).check_axes().is_ok());
+        let dup = |spec: ChurnSpec| match run_churn(&spec) {
+            Err(SpecError::DuplicateKey { key }) => key,
+            other => panic!("expected a duplicate key, got {:?}", other.map(|r| r.cells.len())),
+        };
+        assert_eq!(dup(ChurnSpec { rates: vec![0.0, 0.0], ..tiny_spec(1) }), "rate=0");
+        let algorithms = default_registry().resolve_list("vt,vt").unwrap();
+        assert_eq!(dup(ChurnSpec { algorithms, ..tiny_spec(1) }), "algorithm=vt");
+        assert_eq!(dup(ChurnSpec { sizes: vec![48, 48], ..tiny_spec(1) }), "n=48");
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Fault-injection sweeps: robustness surfaces over loss/crash levels.
+//! Fault-injection sweeps: the robustness view over loss/crash levels.
 //!
 //! The fault model ([`sleeping_congest::FaultModel`]) turns message
 //! loss, node crashes, and wake jitter into spec parameters every
 //! builtin accepts (`awake?loss=0.01&crash=0.001`). This module sweeps
 //! those knobs the way [`crate::sweep`] sweeps algorithm parameters —
-//! the same range grammar (`luby?loss=0,0.01,0.05`), the same
-//! deterministic batch fan-out — and aggregates *robustness* cells:
+//! the same range grammar (`luby?loss=0,0.01,0.05`) and the same
+//! experiment core as every other harness (jobs, fan-out, document
+//! writer) — and aggregates only its own *robustness* cells:
 //! per `{fault level × family × n}`, the failure rate over seeds, the
 //! crash/loss exposure, and the awake inflation relative to the clean
 //! baseline of the same base algorithm.
@@ -24,13 +25,15 @@
 //!   failure-rate surface, and `bench-diff` gates on it: a failure-rate
 //!   increase beyond threshold at any swept level exits nonzero.
 
-use crate::grid::{json_escape, run_point, summary_json, GridJob, GridMeta, GridPoint};
-use crate::spec::{default_registry, AlgorithmSpec, RunnerHandle, SpecError};
+use crate::experiment::{
+    document, expand_specs, fan_out, json_escape, meta_lines, summary, summary_json,
+    sweep_spec_json,
+};
+use crate::grid::{run_point, GridMeta, GridPoint};
+use crate::spec::{AlgorithmSpec, RunnerHandle, SpecError};
 use crate::stats::Summary;
-use crate::sweep::{expand, SweepGroup};
+use crate::sweep::SweepGroup;
 use graphgen::GraphFamily;
-use sleeping_congest::batch::{resolve_threads, run_batch};
-use sleeping_congest::ScratchArena;
 
 /// A fault sweep: range-valued specs (typically over `loss`/`crash`)
 /// crossed with graph families, sizes, and seeds.
@@ -73,31 +76,29 @@ const FAULT_PARAMS: [&str; 5] = ["loss", "crash", "crash_from", "crash_until", "
 /// # Errors
 ///
 /// Propagates [`AlgorithmSpec::parse`] errors — runner keys round-trip
-/// through the spec grammar, so this only fails on hand-built keys.
+/// through the spec grammar, so this only fails on hand-built keys —
+/// and fails closed with [`SpecError::BadValue`] on a `loss`, `crash`
+/// or `jitter` value that does not parse.
 pub fn fault_axis(key: &str) -> Result<FaultAxis, SpecError> {
     let spec = AlgorithmSpec::parse(key)?;
-    let mut axis = FaultAxis {
-        base: String::new(),
-        loss: 0.0,
-        crash: 0.0,
-        jitter: 0,
-    };
-    let mut kept: Vec<String> = Vec::new();
-    for (name, value) in spec.params() {
-        match name.as_str() {
-            "loss" => axis.loss = value.parse().unwrap_or(0.0),
-            "crash" => axis.crash = value.parse().unwrap_or(0.0),
-            "jitter" => axis.jitter = value.parse().unwrap_or(0),
-            _ if FAULT_PARAMS.contains(&name.as_str()) => {}
-            _ => kept.push(format!("{name}={value}")),
-        }
-    }
-    axis.base = if kept.is_empty() {
-        spec.key().to_string()
-    } else {
-        format!("{}?{}", spec.key(), kept.join("&"))
-    };
-    Ok(axis)
+    let mut p = spec.reader();
+    let (loss, crash, jitter) = (p.f64("loss")?, p.f64("crash")?, p.u64("jitter")?);
+    let kept: Vec<String> = spec
+        .params()
+        .iter()
+        .filter(|(name, _)| !FAULT_PARAMS.contains(&name.as_str()))
+        .map(|(name, value)| format!("{name}={value}"))
+        .collect();
+    Ok(FaultAxis {
+        base: if kept.is_empty() {
+            spec.key().to_string()
+        } else {
+            format!("{}?{}", spec.key(), kept.join("&"))
+        },
+        loss: loss.unwrap_or(0.0),
+        crash: crash.unwrap_or(0.0),
+        jitter: jitter.unwrap_or(0),
+    })
 }
 
 /// Per-`{fault level × family × n}` robustness aggregates.
@@ -158,103 +159,27 @@ pub struct FaultResult {
 /// # Errors
 ///
 /// Expansion errors (see [`crate::sweep::expand`]); also rejects an
-/// empty sweep ([`SpecError::Syntax`]) and duplicate levels across
-/// specs ([`SpecError::DuplicateKey`]).
+/// empty sweep ([`SpecError::Syntax`]) and a level, family, size or
+/// seed listed twice ([`SpecError::DuplicateKey`]).
 pub fn run_faults(spec: &FaultSweepSpec) -> Result<FaultResult, SpecError> {
-    let registry = default_registry();
-    let mut groups = Vec::with_capacity(spec.specs.len());
-    let mut flat: Vec<RunnerHandle> = Vec::new();
-    for raw in &spec.specs {
-        let group = expand(registry, raw)?;
-        for r in &group.runners {
-            if flat.iter().any(|f| f.key() == r.key()) {
-                return Err(SpecError::DuplicateKey { key: r.key().to_string() });
-            }
-            flat.push(r.clone());
-        }
-        groups.push(group);
-    }
-    if flat.is_empty() || spec.seeds.is_empty() {
-        return Err(SpecError::Syntax {
-            spec: spec.specs.join(","),
-            detail: "a fault sweep needs at least one level and one seed".to_string(),
+    let (groups, jobs) = expand_specs(&spec.specs, &spec.families, &spec.sizes, &spec.seeds)?;
+    let points = fan_out(&jobs, spec.threads, |scratch, job| run_point(job, scratch).0);
+    let mut cells = points
+        .chunks(spec.seeds.len())
+        .map(FaultCell::of)
+        .collect::<Result<Vec<_>, _>>()?;
+    // Awake inflation against the clean baseline cell of the same base
+    // algorithm, family, and n — when the sweep has one.
+    for i in 0..cells.len() {
+        let c = &cells[i];
+        let baseline = cells.iter().find(|b| {
+            b.algorithm.key() == c.axis.base && b.family == c.family && b.n == c.n
         });
+        cells[i].awake_inflation = baseline
+            .filter(|b| b.algorithm != c.algorithm && b.awake_max.mean > 0.0)
+            .map(|b| c.awake_max.mean / b.awake_max.mean);
     }
-
-    let mut jobs = Vec::with_capacity(
-        flat.len() * spec.families.len() * spec.sizes.len() * spec.seeds.len(),
-    );
-    for algorithm in &flat {
-        for &family in &spec.families {
-            for &n in &spec.sizes {
-                for &seed in &spec.seeds {
-                    jobs.push(GridJob { algorithm: algorithm.clone(), family, n, seed });
-                }
-            }
-        }
-    }
-    let threads = resolve_threads(spec.threads);
-    let points = run_batch(&jobs, threads, |_| ScratchArena::new(), |scratch, _i, job| {
-        run_point(job, scratch)
-    });
-    let cells = aggregate(spec, &flat, &points)?;
     Ok(FaultResult { spec: spec.clone(), groups, points, cells })
-}
-
-fn aggregate(
-    spec: &FaultSweepSpec,
-    flat: &[RunnerHandle],
-    points: &[GridPoint],
-) -> Result<Vec<FaultCell>, SpecError> {
-    let (nf, ns, nk) = (spec.families.len(), spec.sizes.len(), spec.seeds.len());
-    let mut cells = Vec::with_capacity(flat.len() * nf * ns);
-    for (ai, algorithm) in flat.iter().enumerate() {
-        let axis = fault_axis(algorithm.key())?;
-        for (fi, &family) in spec.families.iter().enumerate() {
-            for (si, &n) in spec.sizes.iter().enumerate() {
-                let base = ((ai * nf + fi) * ns + si) * nk;
-                let chunk = &points[base..base + nk];
-                let awake_max: Vec<u64> = chunk.iter().map(|p| p.awake_max).collect();
-                let awake_avg: Vec<f64> = chunk.iter().map(|p| p.awake_avg).collect();
-                let rounds: Vec<u64> = chunk.iter().map(|p| p.rounds).collect();
-                let incorrect = chunk.iter().filter(|p| !p.correct).count();
-                cells.push(FaultCell {
-                    algorithm: algorithm.clone(),
-                    axis: axis.clone(),
-                    family,
-                    n,
-                    runs: nk,
-                    failure_rate: incorrect as f64 / nk as f64,
-                    crashed: chunk.iter().map(|p| p.crashed as u64).sum(),
-                    faulted: chunk.iter().map(|p| p.faulted).sum(),
-                    awake_max: Summary::of_u64(&awake_max),
-                    awake_avg: Summary::of(&awake_avg),
-                    rounds: Summary::of_u64(&rounds),
-                    awake_inflation: None,
-                    all_correct: incorrect == 0,
-                });
-            }
-        }
-    }
-    // Second pass: awake inflation against the clean baseline cell of
-    // the same base algorithm, family, and n — when the sweep has one.
-    let clean: Vec<(String, GraphFamily, usize, f64)> = cells
-        .iter()
-        .filter(|c| c.algorithm.key() == c.axis.base)
-        .map(|c| (c.axis.base.clone(), c.family, c.n, c.awake_max.mean))
-        .collect();
-    for cell in &mut cells {
-        if cell.algorithm.key() == cell.axis.base {
-            continue;
-        }
-        cell.awake_inflation = clean
-            .iter()
-            .find(|(b, f, n, m)| {
-                *b == cell.axis.base && *f == cell.family && *n == cell.n && *m > 0.0
-            })
-            .map(|(_, _, _, m)| cell.awake_max.mean / m);
-    }
-    Ok(cells)
 }
 
 impl FaultCell {
@@ -266,6 +191,28 @@ impl FaultCell {
     /// [`Self::KEY_FIELDS`] and the artifact JSON spelling.
     pub fn cell_key(&self) -> Vec<String> {
         vec![self.algorithm.key().to_string(), self.family.key(), self.n.to_string()]
+    }
+
+    /// Aggregates one level's seeds in one `{family × n}` cell; the
+    /// awake inflation is filled in once every cell exists.
+    fn of(chunk: &[GridPoint]) -> Result<FaultCell, SpecError> {
+        let head = &chunk[0].job;
+        let incorrect = chunk.iter().filter(|p| !p.correct).count();
+        Ok(FaultCell {
+            algorithm: head.algorithm.clone(),
+            axis: fault_axis(head.algorithm.key())?,
+            family: head.family,
+            n: head.n,
+            runs: chunk.len(),
+            failure_rate: incorrect as f64 / chunk.len() as f64,
+            crashed: chunk.iter().map(|p| p.crashed as u64).sum(),
+            faulted: chunk.iter().map(|p| p.faulted).sum(),
+            awake_max: summary(chunk, |p| p.awake_max as f64),
+            awake_avg: summary(chunk, |p| p.awake_avg),
+            rounds: summary(chunk, |p| p.rounds as f64),
+            awake_inflation: None,
+            all_correct: incorrect == 0,
+        })
     }
 
     fn json(&self) -> String {
@@ -315,49 +262,14 @@ impl FaultResult {
     }
 
     fn json_with_meta(&self, meta: Option<&GridMeta>) -> String {
-        let mut out = String::from("{\n  \"schema\": \"awake-mis/bench-faults/v1\",\n");
-        if let Some(m) = meta {
-            out.push_str(&format!(
-                "  \"meta\": {{\"threads\": {}, \"wall_ms\": {}}},\n",
-                m.threads, m.wall_ms
-            ));
-            let ns: Vec<String> =
-                self.points.iter().map(|p| p.elapsed_ns.to_string()).collect();
-            out.push_str(&format!("  \"timing\": {{\"elapsed_ns\": [{}]}},\n", ns.join(", ")));
-        }
-        let specs: Vec<String> =
-            self.spec.specs.iter().map(|s| format!("\"{}\"", json_escape(s))).collect();
-        let expanded: Vec<String> = self
-            .groups
-            .iter()
-            .map(|g| {
-                let keys: Vec<String> =
-                    g.runners.iter().map(|r| format!("\"{}\"", json_escape(r.key()))).collect();
-                format!("[{}]", keys.join(", "))
-            })
-            .collect();
-        let families: Vec<String> =
-            self.spec.families.iter().map(|f| format!("\"{}\"", f.key())).collect();
-        let sizes: Vec<String> = self.spec.sizes.iter().map(|n| n.to_string()).collect();
-        let seeds: Vec<String> = self.spec.seeds.iter().map(|s| s.to_string()).collect();
-        out.push_str(&format!(
-            "  \"spec\": {{\"specs\": [{}], \"expanded\": [{}], \"families\": [{}], \
-             \"sizes\": [{}], \"seeds\": [{}]}},\n",
-            specs.join(", "),
-            expanded.join(", "),
-            families.join(", "),
-            sizes.join(", "),
-            seeds.join(", "),
-        ));
-        out.push_str("  \"cells\": [\n");
-        let cells: Vec<String> = self.cells.iter().map(|c| format!("    {}", c.json())).collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ],\n  \"points\": [\n");
-        let points: Vec<String> =
-            self.points.iter().map(|p| format!("    {}", p.json())).collect();
-        out.push_str(&points.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        let s = &self.spec;
+        document(
+            "awake-mis/bench-faults/v1",
+            meta.map(|m| meta_lines(m, self.points.iter().map(|p| p.elapsed_ns))),
+            &sweep_spec_json(&s.specs, &self.groups, &s.families, &s.sizes, &s.seeds),
+            self.cells.iter().map(FaultCell::json),
+            self.points.iter().map(GridPoint::json),
+        )
     }
 }
 
@@ -365,6 +277,7 @@ impl FaultResult {
 mod tests {
     use super::*;
     use crate::grid::{run_grid, GridSpec};
+    use crate::spec::default_registry;
 
     #[test]
     fn fault_axis_parses_and_strips() {
@@ -378,6 +291,10 @@ mod tests {
         assert_eq!(a.base, "vt?adv_ids=worst");
         // The clean key is its own base.
         assert_eq!(fault_axis("awake").unwrap().base, "awake");
+        // A malformed level fails closed instead of reading as clean.
+        for bad in ["luby?loss=abc", "luby?crash=x", "luby?jitter=-1"] {
+            assert!(matches!(fault_axis(bad), Err(SpecError::BadValue { .. })), "{bad}");
+        }
     }
 
     #[test]
@@ -482,5 +399,15 @@ mod tests {
         // `luby?loss=0` IS `luby` after key canonicalization; listing
         // both is a duplicate level.
         assert!(matches!(run_faults(&spec), Err(SpecError::DuplicateKey { .. })));
+        // So is a family listed twice.
+        let spec = FaultSweepSpec {
+            specs: vec!["luby".into()],
+            families: vec![GraphFamily::Er, GraphFamily::Er],
+            ..spec
+        };
+        assert_eq!(
+            run_faults(&spec).unwrap_err(),
+            SpecError::DuplicateKey { key: "family=er".into() }
+        );
     }
 }

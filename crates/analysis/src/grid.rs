@@ -1,15 +1,15 @@
-//! Batched seed-grid experiment harness.
+//! Batched seed-grid experiments: the per-cell summary view.
 //!
 //! A [`GridSpec`] describes a cartesian grid of
 //! `{algorithm × graph family × n × seed}` where the algorithm axis is a
-//! list of registry-resolved [`RunnerHandle`]s; [`run_grid`] fans the
-//! grid across OS threads via [`sleeping_congest::batch`], reusing one
-//! type-erased [`ScratchArena`] per worker so mailboxes, RNG tables, and
-//! wake buckets are shared across runs of every protocol family. Results
-//! come back as per-run [`GridPoint`]s (in grid order, independent of
-//! the thread count) plus per-cell aggregates ([`GridCell`], one per
-//! `{algorithm × family × n}` with summary statistics over seeds), and
-//! serialize to the machine-readable `BENCH_grid.json` payload.
+//! list of registry-resolved [`RunnerHandle`]s. [`run_grid`] runs it on
+//! the crate's one experiment core — the same job builder, thread
+//! fan-out (one reused [`ScratchArena`] per worker) and document writer
+//! as the sweep, fault and churn harnesses — so this module holds only
+//! what is the grid's own: the normalized per-run [`GridPoint`] (shared
+//! by every view), its aggregation into per-`{algorithm × family × n}`
+//! [`GridCell`]s with summary statistics over seeds, and the
+//! `BENCH_grid.json` cell and point JSON.
 //!
 //! Determinism contract: every run is a pure function of
 //! `(family, n, seed, algorithm spec)`, so [`GridResult::payload_json`]
@@ -18,12 +18,14 @@
 //! per-point `timing` section appended by [`GridResult::to_json`] —
 //! never in the payload.
 
+use crate::experiment::{
+    dist_json, distinct, document, fan_out, json_escape, meta_lines, summary, summary_json, Axes,
+};
 use crate::runners::AlgoResult;
-use crate::spec::RunnerHandle;
+use crate::spec::{RunnerHandle, SpecError};
 use crate::stats::Summary;
 use graphgen::GraphFamily;
-use sleeping_congest::batch::{resolve_threads, run_batch};
-use sleeping_congest::{AwakeDistribution, Metrics, ScratchArena, SimError};
+use sleeping_congest::{AwakeDistribution, ScratchArena, SimError};
 use std::time::Instant;
 
 /// A cartesian experiment grid.
@@ -75,36 +77,32 @@ pub struct GridTier {
 }
 
 impl GridSpec {
+    /// The base grid's axes, then each tier's.
+    fn blocks(&self) -> Vec<Axes<'_>> {
+        let base = Axes::new(&self.algorithms, &self.families, &self.sizes, &self.seeds);
+        let tiers =
+            self.tiers.iter().map(|t| Axes::new(&t.algorithms, &t.families, &t.sizes, &t.seeds));
+        std::iter::once(base).chain(tiers).collect()
+    }
+
     /// The grid flattened to jobs, in deterministic grid order
     /// (algorithm-major, seed-minor): the base cartesian product first,
     /// then each tier's, in declaration order.
     pub fn jobs(&self) -> Vec<GridJob> {
-        let mut jobs = Vec::with_capacity(
-            self.algorithms.len() * self.families.len() * self.sizes.len() * self.seeds.len(),
-        );
-        push_jobs(&mut jobs, &self.algorithms, &self.families, &self.sizes, &self.seeds);
-        for tier in &self.tiers {
-            push_jobs(&mut jobs, &tier.algorithms, &tier.families, &tier.sizes, &tier.seeds);
-        }
-        jobs
+        self.blocks().iter().flat_map(Axes::grid_jobs).collect()
     }
-}
 
-fn push_jobs(
-    jobs: &mut Vec<GridJob>,
-    algorithms: &[RunnerHandle],
-    families: &[GraphFamily],
-    sizes: &[usize],
-    seeds: &[u64],
-) {
-    for algorithm in algorithms {
-        for &family in families {
-            for &n in sizes {
-                for &seed in seeds {
-                    jobs.push(GridJob { algorithm: algorithm.clone(), family, n, seed });
-                }
-            }
-        }
+    /// Rejects a value listed twice on an axis of the base grid or a
+    /// tier, and a cell key shared by two blocks: every reader of the
+    /// payload keys cells by it.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::DuplicateKey`] naming the repeated value or cell.
+    pub fn check_axes(&self) -> Result<(), SpecError> {
+        let blocks = self.blocks();
+        blocks.iter().try_for_each(Axes::check)?;
+        distinct("cell", blocks.iter().flat_map(Axes::cell_keys))
     }
 }
 
@@ -224,30 +222,24 @@ pub struct GridMeta {
     pub wall_ms: u128,
 }
 
-/// Runs one grid job on a caller-provided scratch.
-pub fn run_point(job: &GridJob, scratch: &mut ScratchArena) -> GridPoint {
-    run_point_detailed(job, scratch).0
-}
-
-/// Like [`run_point`], additionally returning the run's full engine
-/// [`Metrics`] (`None` when the engine aborted) so richer harnesses —
-/// the energy-frontier sweep in [`crate::sweep`] — can derive
-/// per-node measurements the normalized [`GridPoint`] does not carry.
-pub fn run_point_detailed(
-    job: &GridJob,
-    scratch: &mut ScratchArena,
-) -> (GridPoint, Option<Metrics>) {
+/// Runs one grid job on a caller-provided scratch: generates the
+/// instance, runs the algorithm, and normalizes the outcome into a
+/// [`GridPoint`] timed over generation and run. The full
+/// [`AlgoResult`] comes back alongside on success (`None` when the
+/// engine aborted), so richer views — the energy pricing of
+/// [`crate::sweep`] — can read per-node measurements the point does not
+/// carry.
+pub fn run_point(job: &GridJob, scratch: &mut ScratchArena) -> (GridPoint, Option<AlgoResult>) {
     let start = Instant::now();
     let g = job.family.generate(job.n, job.seed);
-    let nodes = g.n();
     let res = job.algorithm.run_with_scratch(&g, job.seed, scratch);
-    let (point, result) = point_from_run(job, nodes, res);
-    (GridPoint { elapsed_ns: start.elapsed().as_nanos() as u64, ..point }, result.map(|r| r.metrics))
+    let (point, result) = point_from_run(job, g.n(), res);
+    (GridPoint { elapsed_ns: start.elapsed().as_nanos() as u64, ..point }, result)
 }
 
 /// Normalizes a finished (or aborted) run into a [`GridPoint`],
 /// returning the full [`AlgoResult`] alongside on success. Shared by
-/// [`run_point_detailed`] and the churn harness's bootstrap run
+/// [`run_point`] and the churn harness's bootstrap run
 /// ([`crate::churn`]), so a zero-delta churn point is byte-identical to
 /// the corresponding one-shot grid point. `elapsed_ns` is left at 0 —
 /// timing is the caller's concern.
@@ -256,11 +248,27 @@ pub(crate) fn point_from_run(
     nodes: usize,
     res: Result<AlgoResult, SimError>,
 ) -> (GridPoint, Option<AlgoResult>) {
+    let point = GridPoint {
+        job: job.clone(),
+        nodes,
+        awake_max: 0,
+        awake_avg: 0.0,
+        awake_dist: AwakeDistribution::default(),
+        rounds: 0,
+        active_rounds: 0,
+        messages: 0,
+        max_message_bits: 0,
+        mis_size: 0,
+        correct: false,
+        failures: 0,
+        crashed: 0,
+        faulted: 0,
+        sim_error: None,
+        elapsed_ns: 0,
+    };
     match res {
         Ok(r) => (
             GridPoint {
-                job: job.clone(),
-                nodes,
                 awake_max: r.awake_max,
                 awake_avg: r.awake_avg,
                 awake_dist: r.metrics.awake_distribution(),
@@ -273,32 +281,11 @@ pub(crate) fn point_from_run(
                 failures: r.failures,
                 crashed: r.crashed,
                 faulted: r.faulted,
-                sim_error: None,
-                elapsed_ns: 0,
+                ..point
             },
             Some(r),
         ),
-        Err(e) => (
-            GridPoint {
-                job: job.clone(),
-                nodes,
-                awake_max: 0,
-                awake_avg: 0.0,
-                awake_dist: AwakeDistribution::default(),
-                rounds: 0,
-                active_rounds: 0,
-                messages: 0,
-                max_message_bits: 0,
-                mis_size: 0,
-                correct: false,
-                failures: 0,
-                crashed: 0,
-                faulted: 0,
-                sim_error: Some(e.to_string()),
-                elapsed_ns: 0,
-            },
-            None,
-        ),
+        Err(e) => (GridPoint { sim_error: Some(e.to_string()), ..point }, None),
     }
 }
 
@@ -307,110 +294,19 @@ pub(crate) fn point_from_run(
 /// order and — apart from the wall-clock `elapsed_ns` field — bit-
 /// identical for every thread count.
 pub fn run_grid(spec: &GridSpec) -> GridResult {
-    let jobs = spec.jobs();
-    let threads = resolve_threads(spec.threads);
-    let points = run_batch(&jobs, threads, |_| ScratchArena::new(), |scratch, _i, job| {
-        run_point(job, scratch)
-    });
-    let cells = aggregate(spec, &points);
-    GridResult { spec: spec.clone(), points, cells }
-}
-
-fn aggregate(spec: &GridSpec, points: &[GridPoint]) -> Vec<GridCell> {
+    let points = fan_out(&spec.jobs(), spec.threads, |scratch, job| run_point(job, scratch).0);
     // Points arrive in job order: the base grid's segment first, then
-    // one segment per tier — each chunked by its own seed count.
+    // one segment per tier — each chunked into cells by its own seeds.
     let mut cells = Vec::new();
-    let base_cells = spec.algorithms.len() * spec.families.len() * spec.sizes.len();
-    let (segment, mut rest) = points.split_at((base_cells * spec.seeds.len()).min(points.len()));
-    aggregate_segment(segment, spec.seeds.len(), &mut cells);
-    for tier in &spec.tiers {
-        let tier_cells = tier.algorithms.len() * tier.families.len() * tier.sizes.len();
-        let (segment, r) = rest.split_at((tier_cells * tier.seeds.len()).min(rest.len()));
-        aggregate_segment(segment, tier.seeds.len(), &mut cells);
+    let mut rest = points.as_slice();
+    for block in spec.blocks() {
+        let (segment, r) = rest.split_at((block.cells() * block.seeds.len()).min(rest.len()));
         rest = r;
-    }
-    cells
-}
-
-fn aggregate_segment(points: &[GridPoint], runs: usize, cells: &mut Vec<GridCell>) {
-    if runs == 0 {
-        return;
-    }
-    cells.extend(points.chunks(runs).map(|chunk| {
-        let head = &chunk[0].job;
-        let awake_max: Vec<u64> = chunk.iter().map(|p| p.awake_max).collect();
-        let awake_avg: Vec<f64> = chunk.iter().map(|p| p.awake_avg).collect();
-        let awake_p95: Vec<f64> = chunk.iter().map(|p| p.awake_dist.p95).collect();
-        let awake_gini: Vec<f64> = chunk.iter().map(|p| p.awake_dist.gini).collect();
-        let rounds: Vec<u64> = chunk.iter().map(|p| p.rounds).collect();
-        GridCell {
-            algorithm: head.algorithm.clone(),
-            family: head.family,
-            n: head.n,
-            runs,
-            awake_max: Summary::of_u64(&awake_max),
-            awake_avg: Summary::of(&awake_avg),
-            awake_p95: Summary::of(&awake_p95),
-            awake_gini: Summary::of(&awake_gini),
-            rounds: Summary::of_u64(&rounds),
-            max_message_bits: chunk.iter().map(|p| p.max_message_bits).max().unwrap_or(0),
-            all_correct: chunk.iter().all(|p| p.correct),
-            failure_rate: chunk.iter().filter(|p| !p.correct).count() as f64 / runs as f64,
-            crashed: chunk.iter().map(|p| p.crashed as u64).sum(),
-            faulted: chunk.iter().map(|p| p.faulted).sum(),
-        }
-    }));
-}
-
-/// One axes block of the spec echo, shared by the base grid and tiers.
-fn axes_json(
-    algorithms: &[RunnerHandle],
-    families: &[GraphFamily],
-    sizes: &[usize],
-    seeds: &[u64],
-) -> String {
-    let algorithms: Vec<String> =
-        algorithms.iter().map(|a| format!("\"{}\"", json_escape(a.key()))).collect();
-    let families: Vec<String> = families.iter().map(|f| format!("\"{}\"", f.key())).collect();
-    let sizes: Vec<String> = sizes.iter().map(|n| n.to_string()).collect();
-    let seeds: Vec<String> = seeds.iter().map(|s| s.to_string()).collect();
-    format!(
-        "\"algorithms\": [{}], \"families\": [{}], \"sizes\": [{}], \"seeds\": [{}]",
-        algorithms.join(", "),
-        families.join(", "),
-        sizes.join(", "),
-        seeds.join(", "),
-    )
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        if !block.seeds.is_empty() {
+            cells.extend(segment.chunks(block.seeds.len()).map(GridCell::of));
         }
     }
-    out
-}
-
-pub(crate) fn summary_json(s: &Summary) -> String {
-    format!(
-        "{{\"mean\":{},\"std\":{},\"min\":{},\"median\":{},\"max\":{}}}",
-        s.mean, s.std, s.min, s.median, s.max
-    )
-}
-
-fn dist_json(d: &AwakeDistribution) -> String {
-    format!(
-        "{{\"mean\":{},\"median\":{},\"p95\":{},\"max\":{},\"gini\":{},\"skew\":{}}}",
-        d.mean, d.median, d.p95, d.max, d.gini, d.skew
-    )
+    GridResult { spec: spec.clone(), points, cells }
 }
 
 impl GridPoint {
@@ -462,6 +358,28 @@ impl GridCell {
         vec![self.algorithm.key().to_string(), self.family.key(), self.n.to_string()]
     }
 
+    /// Aggregates one cell's points (its seeds, in seed order).
+    fn of(chunk: &[GridPoint]) -> GridCell {
+        let head = &chunk[0].job;
+        let runs = chunk.len();
+        GridCell {
+            algorithm: head.algorithm.clone(),
+            family: head.family,
+            n: head.n,
+            runs,
+            awake_max: summary(chunk, |p| p.awake_max as f64),
+            awake_avg: summary(chunk, |p| p.awake_avg),
+            awake_p95: summary(chunk, |p| p.awake_dist.p95),
+            awake_gini: summary(chunk, |p| p.awake_dist.gini),
+            rounds: summary(chunk, |p| p.rounds as f64),
+            max_message_bits: chunk.iter().map(|p| p.max_message_bits).max().unwrap_or(0),
+            all_correct: chunk.iter().all(|p| p.correct),
+            failure_rate: chunk.iter().filter(|p| !p.correct).count() as f64 / runs as f64,
+            crashed: chunk.iter().map(|p| p.crashed as u64).sum(),
+            faulted: chunk.iter().map(|p| p.faulted).sum(),
+        }
+    }
+
     fn json(&self) -> String {
         format!(
             "{{\"algorithm\":\"{}\",\"family\":\"{}\",\"n\":{},\"runs\":{},\
@@ -501,50 +419,24 @@ impl GridResult {
     }
 
     fn json_with_meta(&self, meta: Option<&GridMeta>) -> String {
-        let mut out = String::from("{\n  \"schema\": \"awake-mis/bench-grid/v3\",\n");
-        if let Some(m) = meta {
-            out.push_str(&format!(
-                "  \"meta\": {{\"threads\": {}, \"wall_ms\": {}}},\n",
-                m.threads, m.wall_ms
-            ));
-            // Per-point wall-clock timing, in grid (= points) order.
-            // Lives beside the payload, not in it, for the same reason
-            // as `meta`: payloads must compare byte-identical.
-            let ns: Vec<String> = self.points.iter().map(|p| p.elapsed_ns.to_string()).collect();
-            out.push_str(&format!("  \"timing\": {{\"elapsed_ns\": [{}]}},\n", ns.join(", ")));
-        }
-        let mut spec_body = axes_json(
-            &self.spec.algorithms,
-            &self.spec.families,
-            &self.spec.sizes,
-            &self.spec.seeds,
-        );
+        let blocks = self.spec.blocks();
+        let tiers = self.spec.tiers.iter().zip(&blocks[1..]);
+        let tiers: Vec<String> = tiers
+            .map(|(t, axes)| format!("{{\"name\": \"{}\", {}}}", json_escape(&t.name), axes.json()))
+            .collect();
+        let mut spec = blocks[0].json();
         // `tiers` is echoed only when present, so pre-tier documents
         // (and every small explicit-axes grid) stay byte-unchanged.
-        if !self.spec.tiers.is_empty() {
-            let tiers: Vec<String> = self
-                .spec
-                .tiers
-                .iter()
-                .map(|t| {
-                    format!(
-                        "{{\"name\": \"{}\", {}}}",
-                        json_escape(&t.name),
-                        axes_json(&t.algorithms, &t.families, &t.sizes, &t.seeds)
-                    )
-                })
-                .collect();
-            spec_body.push_str(&format!(", \"tiers\": [{}]", tiers.join(", ")));
+        if !tiers.is_empty() {
+            spec.push_str(&format!(", \"tiers\": [{}]", tiers.join(", ")));
         }
-        out.push_str(&format!("  \"spec\": {{{spec_body}}},\n"));
-        out.push_str("  \"cells\": [\n");
-        let cells: Vec<String> = self.cells.iter().map(|c| format!("    {}", c.json())).collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ],\n  \"points\": [\n");
-        let points: Vec<String> = self.points.iter().map(|p| format!("    {}", p.json())).collect();
-        out.push_str(&points.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        document(
+            "awake-mis/bench-grid/v3",
+            meta.map(|m| meta_lines(m, self.points.iter().map(|p| p.elapsed_ns))),
+            &spec,
+            self.cells.iter().map(GridCell::json),
+            self.points.iter().map(GridPoint::json),
+        )
     }
 }
 
@@ -714,5 +606,32 @@ mod tests {
         ));
         let plain = GridSpec { tiers: Vec::new(), ..spec };
         assert!(!run_grid(&plain).payload_json().contains("tiers"));
+    }
+
+    #[test]
+    fn duplicate_axis_values_are_rejected() {
+        let dup = |spec: GridSpec| match spec.check_axes() {
+            Err(SpecError::DuplicateKey { key }) => key,
+            other => panic!("expected a duplicate key, got {other:?}"),
+        };
+        assert!(tiny_spec(1).check_axes().is_ok());
+        let algorithms = default_registry().resolve_list("luby,luby").unwrap();
+        assert_eq!(dup(GridSpec { algorithms, ..tiny_spec(1) }), "algorithm=luby");
+        let families = vec![GraphFamily::Er, GraphFamily::Er];
+        assert_eq!(dup(GridSpec { families, ..tiny_spec(1) }), "family=er");
+        assert_eq!(dup(GridSpec { sizes: vec![32, 32], ..tiny_spec(1) }), "n=32");
+        assert_eq!(dup(GridSpec { seeds: vec![1, 1], ..tiny_spec(1) }), "seed=1");
+        // A tier cell repeating a base cell's key is a duplicate too,
+        // even on its own seeds; a tier at a fresh size is not.
+        let tier = |sizes: Vec<usize>| GridTier {
+            name: "big".to_string(),
+            algorithms: default_registry().resolve_list("vt").unwrap(),
+            families: vec![GraphFamily::Cycle],
+            sizes,
+            seeds: vec![9],
+        };
+        let overlap = GridSpec { tiers: vec![tier(vec![64])], ..tiny_spec(1) };
+        assert_eq!(dup(overlap), "cell=vt/cycle/64");
+        assert!(GridSpec { tiers: vec![tier(vec![128])], ..tiny_spec(1) }.check_axes().is_ok());
     }
 }

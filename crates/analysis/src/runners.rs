@@ -1,13 +1,15 @@
 //! Built-in algorithm runners.
 //!
 //! The executable form of every algorithm in the comparison table lives
-//! here as a [`DynRunner`](crate::spec::DynRunner) implementation,
-//! registered with the [`Registry`](crate::spec::Registry) under its
-//! CLI key (see [`register_builtins`]). Parameterized variants are
-//! specs, not new code: `awake?round_efficient=true`,
-//! `ldt?strategy=round`, `vt?id_upper=1000000`, `na?stride=8`,
-//! `gp-avg?balance=0` all resolve to configured instances of the
-//! runners below.
+//! here behind one [`DynRunner`] implementation: a single builtin
+//! runner type holds the algorithm family (with its configuration), its
+//! canonical key and the shared execution knobs, and one registration
+//! table puts every family into the [`Registry`] under its CLI key and
+//! aliases ([`Registry::builtin`]). Parameterized variants are specs,
+//! not new code: `awake?round_efficient=true`, `ldt?strategy=round`,
+//! `vt?id_upper=1000000`, `na?stride=8`, `gp-avg?balance=0` all resolve
+//! to configured builtins. User algorithms plug into the same registry
+//! through their own [`DynRunner`] implementations.
 //!
 //! Three families of measures are covered: the paper's worst-case awake
 //! complexity (`awake`, `awake-round`, `ldt`, `vt`, `naive`, `luby`),
@@ -19,36 +21,36 @@
 //!
 //! Every builtin additionally accepts the shared **fault-model
 //! parameters** `loss=P`, `crash=P`, `crash_from=R`, `crash_until=R`
-//! and `jitter=J` (see [`read_fault`] and
-//! [`sleeping_congest::FaultModel`]), the **execution parameter**
-//! `shards=K` (intra-run engine parallelism, `0` = auto; see
-//! [`sleeping_congest::SimConfig::shards`]), and the ID-based runners
-//! (`vt`, `naive`, `ldt`) accept `adv_ids=random|worst` for adversarial
-//! ID assignment. Fault parameters spelling their defaults are dropped
-//! from the runner key, so `awake?loss=0` *is* `awake` — clean levels
-//! of a fault sweep reuse the fault-free identity and payloads. The
-//! `shards` parameter never enters the key at all: sharding cannot
-//! change results, so `luby?shards=8` *is* `luby` and its payloads stay
-//! byte-comparable across machines.
-//!
-//! The `Algorithm` enum and the `run_algorithm(_with_scratch)` shims
-//! that used to live here were deprecated in favor of the registry and
-//! have been removed; resolve a [`RunnerHandle`] instead.
+//! and `jitter=J` (see [`sleeping_congest::FaultModel`]), the
+//! **execution parameters** `shards=K` (intra-run engine parallelism,
+//! `0` = auto; see [`sleeping_congest::SimConfig::shards`]) and
+//! `trace=profile|jsonl`, and the ID-based runners (`vt`, `naive`,
+//! `ldt`) accept `adv_ids=random|worst` for adversarial ID assignment.
+//! Fault parameters spelling their defaults are dropped from the runner
+//! key, so `awake?loss=0` *is* `awake` — clean levels of a fault sweep
+//! reuse the fault-free identity and payloads. The `shards` and `trace`
+//! parameters never enter the key at all: they cannot change results,
+//! so `luby?shards=8` *is* `luby` and its payloads stay byte-comparable
+//! across machines.
 
 use crate::spec::{AlgorithmSpec, DynRunner, ParamReader, Registry, RunnerHandle, SpecError};
-use awake_mis_core::ldt_mis::{LdtMis, LdtMisParams};
+use awake_mis_core::ldt_mis::{LdtMis, LdtMisOutput, LdtMisParams};
 use awake_mis_core::{
-    AvgMis, AvgMisConfig, AwakeMis, AwakeMisConfig, LdtStrategy, LeMis, LeMisConfig, Luby,
-    MisState, NaMis, NaMisConfig, NaiveGreedy, VtMis, LE_MAX_BITS,
+    AvgMis, AvgMisConfig, AvgMisOutput, AwakeMis, AwakeMisConfig, AwakeMisOutput, LdtStrategy,
+    LeMis, LeMisConfig, LeMisOutput, Luby, MisState, NaMis, NaMisConfig, NaiveGreedy, VtMis,
+    LE_MAX_BITS,
 };
 use graphgen::Graph;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sleeping_congest::{
-    FaultModel, JsonlSink, Metrics, Profile, ScratchArena, SimConfig, SimError, Simulator,
-    Standalone, TraceHandle,
+    FaultModel, JsonlSink, Metrics, Profile, Protocol, ScratchArena, SimConfig, SimError,
+    Simulator, Standalone, TraceHandle,
 };
+use std::fmt::Display;
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 
 /// Normalized result of one run.
 #[derive(Debug, Clone)]
@@ -149,42 +151,74 @@ fn draw_distinct_ids(n: usize, upper: u64, rng: &mut impl Rng) -> Vec<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-model parameters (shared by every builtin)
+// Parameters shared by every builtin
 // ---------------------------------------------------------------------------
 
-/// Reads a probability-valued fault parameter, rejecting anything
-/// outside `[0, 1]`.
-fn read_prob(p: &mut ParamReader<'_>, name: &'static str) -> Result<Option<f64>, SpecError> {
-    match p.f64(name)? {
-        None => Ok(None),
-        Some(v) if v.is_finite() && (0.0..=1.0).contains(&v) => Ok(Some(v)),
-        Some(v) => Err(SpecError::BadValue {
+/// Reads `name`, rejecting a value that does not parse or falls outside
+/// `range` with [`SpecError::BadValue`] describing `expected`.
+fn bounded<T: FromStr + PartialOrd + Display>(
+    p: &mut ParamReader<'_>,
+    name: &'static str,
+    range: RangeInclusive<T>,
+    expected: &str,
+) -> Result<Option<T>, SpecError> {
+    match p.parse::<T>(name, expected)? {
+        Some(v) if !range.contains(&v) => Err(SpecError::BadValue {
             param: name.to_string(),
             value: v.to_string(),
-            expected: "a probability in [0, 1]".to_string(),
+            expected: expected.to_string(),
+        }),
+        v => Ok(v),
+    }
+}
+
+/// Reads `name` as one of `options` (case-insensitive), returning the
+/// index of the option given.
+fn choice(
+    p: &mut ParamReader<'_>,
+    name: &'static str,
+    options: &[&str],
+) -> Result<Option<usize>, SpecError> {
+    let Some(value) = p.str(name) else { return Ok(None) };
+    let value = value.to_ascii_lowercase();
+    match options.iter().position(|o| *o == value) {
+        Some(i) => Ok(Some(i)),
+        None => Err(SpecError::BadValue {
+            param: name.to_string(),
+            value,
+            expected: options.join(" or "),
         }),
     }
 }
 
-/// Reads the fault-model parameters every builtin accepts:
-/// `loss=P` (per-copy i.i.d. message loss), `crash=P` (per-node
-/// per-round crash probability), `crash_from=R`/`crash_until=R`
-/// (inclusive round window for crashes), `jitter=J` (late-wake jitter:
-/// node `v` starts up to `J` rounds late, deterministically per seed).
-pub(crate) fn read_fault(p: &mut ParamReader<'_>) -> Result<FaultModel, SpecError> {
+/// Execution knobs shared by every builtin: the fault model, the
+/// engine's intra-run shard count, and an optional trace sink. Parsed
+/// after algorithm-specific parameters, see [`read_exec`].
+#[derive(Debug, Clone)]
+struct ExecParams {
+    fault: FaultModel,
+    shards: usize,
+    trace: Option<TraceHandle>,
+}
+
+/// Reads the shared execution parameters. The fault model: `loss=P`
+/// (per-copy i.i.d. message loss), `crash=P` (per-node per-round crash
+/// probability), `crash_from=R`/`crash_until=R` (inclusive round window
+/// for crashes), `jitter=J` (late-wake jitter: node `v` starts up to
+/// `J` rounds late, deterministically per seed). Then `shards=K` — the
+/// engine's intra-run shard count (`1` = serial, `0` = one shard per
+/// hardware thread; results are byte-identical either way) — and
+/// `trace=profile|jsonl`, which attaches an observational sink shared
+/// by every run of the resolved runner (`profile` aggregates a phase
+/// report retrievable through [`DynRunner::trace`]; `jsonl` streams one
+/// event per line to stderr). Tracing never changes results.
+fn read_exec(p: &mut ParamReader<'_>) -> Result<ExecParams, SpecError> {
     let mut fault = FaultModel::none();
-    if let Some(v) = read_prob(p, "loss")? {
-        fault.loss = v;
-    }
-    if let Some(v) = read_prob(p, "crash")? {
-        fault.crash = v;
-    }
-    if let Some(v) = p.u64("crash_from")? {
-        fault.crash_from = v;
-    }
-    if let Some(v) = p.u64("crash_until")? {
-        fault.crash_until = v;
-    }
+    let probability = "a probability in [0, 1]";
+    fault.loss = bounded(p, "loss", 0.0..=1.0, probability)?.unwrap_or(fault.loss);
+    fault.crash = bounded(p, "crash", 0.0..=1.0, probability)?.unwrap_or(fault.crash);
+    fault.crash_from = p.u64("crash_from")?.unwrap_or(fault.crash_from);
+    fault.crash_until = p.u64("crash_until")?.unwrap_or(fault.crash_until);
     if fault.crash_from > fault.crash_until {
         return Err(SpecError::BadValue {
             param: "crash_until".to_string(),
@@ -192,47 +226,12 @@ pub(crate) fn read_fault(p: &mut ParamReader<'_>) -> Result<FaultModel, SpecErro
             expected: format!("a round >= crash_from ({})", fault.crash_from),
         });
     }
-    if let Some(v) = p.u64("jitter")? {
-        fault.wake_jitter = v;
-    }
-    Ok(fault)
-}
-
-/// Execution knobs shared by every builtin: the fault model, the
-/// engine's intra-run shard count, and an optional trace sink. Parsed
-/// after algorithm-specific parameters, see [`read_exec`].
-#[derive(Debug, Clone)]
-pub(crate) struct ExecParams {
-    pub(crate) fault: FaultModel,
-    pub(crate) shards: usize,
-    pub(crate) trace: Option<TraceHandle>,
-}
-
-/// Reads the shared execution parameters: the fault model
-/// ([`read_fault`]), `shards=K` — the engine's intra-run shard count
-/// (`1` = serial, `0` = one shard per hardware thread; results are
-/// byte-identical either way) — and `trace=profile|jsonl`, which
-/// attaches an observational sink shared by every run of the resolved
-/// runner (`profile` aggregates a phase report retrievable through
-/// [`DynRunner::trace`]; `jsonl` streams one event per line to
-/// stderr). Tracing never changes results.
-pub(crate) fn read_exec(p: &mut ParamReader<'_>) -> Result<ExecParams, SpecError> {
-    let fault = read_fault(p)?;
+    fault.wake_jitter = p.u64("jitter")?.unwrap_or(fault.wake_jitter);
     let shards = p.u64("shards")?.unwrap_or(1) as usize;
-    let trace = match p.str("trace") {
-        None => None,
-        Some(s) => match s.to_ascii_lowercase().as_str() {
-            "profile" => Some(TraceHandle::new(Profile::new())),
-            "jsonl" => Some(TraceHandle::new(JsonlSink::stderr())),
-            other => {
-                return Err(SpecError::BadValue {
-                    param: "trace".to_string(),
-                    value: other.to_string(),
-                    expected: "profile or jsonl".to_string(),
-                })
-            }
-        },
-    };
+    let trace = choice(p, "trace", &["profile", "jsonl"])?.map(|i| match i {
+        0 => TraceHandle::new(Profile::new()),
+        _ => TraceHandle::new(JsonlSink::stderr()),
+    });
     Ok(ExecParams { fault, shards, trace })
 }
 
@@ -270,40 +269,17 @@ fn runner_key(spec: &AlgorithmSpec) -> String {
     }
 }
 
-/// A [`SimConfig`] carrying the runner's fault model, shard count, and
-/// trace sink.
-fn sim_config(seed: u64, exec: &ExecParams) -> SimConfig {
-    SimConfig {
-        fault: exec.fault.clone(),
-        shards: exec.shards,
-        trace: exec.trace.clone(),
-        ..SimConfig::seeded(seed)
-    }
+/// Reads the ID-based runners' `adv_ids=random|worst`: `true` for the
+/// deterministic adversarial worst case, `false` for seeded-random IDs
+/// (the default).
+fn read_worst_ids(p: &mut ParamReader<'_>) -> Result<bool, SpecError> {
+    Ok(choice(p, "adv_ids", &["random", "worst"])? == Some(1))
 }
 
-/// How ID-based runners (`vt`, `naive`, `ldt`) assign their IDs:
-/// seeded-random (the default) or the deterministic adversarial
-/// worst case (`adv_ids=worst`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IdAssignment {
-    Random,
-    Worst,
-}
-
-/// Reads the optional `adv_ids=random|worst` parameter.
-fn read_adv_ids(p: &mut ParamReader<'_>) -> Result<IdAssignment, SpecError> {
-    match p.str("adv_ids") {
-        None => Ok(IdAssignment::Random),
-        Some(s) => match s.to_ascii_lowercase().as_str() {
-            "random" => Ok(IdAssignment::Random),
-            "worst" => Ok(IdAssignment::Worst),
-            other => Err(SpecError::BadValue {
-                param: "adv_ids".to_string(),
-                value: other.to_string(),
-                expected: "random or worst".to_string(),
-            }),
-        },
-    }
+/// Reads an optional `strategy=awake|round` parameter.
+fn read_strategy(p: &mut ParamReader<'_>) -> Result<Option<LdtStrategy>, SpecError> {
+    let strategy = choice(p, "strategy", &["awake", "round"])?;
+    Ok(strategy.map(|i| [LdtStrategy::Awake, LdtStrategy::Round][i]))
 }
 
 /// The adversarial ID multiset for `VT-MIS`: the `n` IDs in
@@ -325,86 +301,153 @@ fn worst_vt_ids(n: usize, upper: u64) -> Vec<u64> {
 // Built-in runners
 // ---------------------------------------------------------------------------
 
-/// Reads an optional `strategy=awake|round` parameter.
-fn read_strategy(
-    p: &mut crate::spec::ParamReader<'_>,
-) -> Result<Option<LdtStrategy>, SpecError> {
-    match p.str("strategy") {
-        None => Ok(None),
-        Some(s) => match s.to_ascii_lowercase().as_str() {
-            "awake" => Ok(Some(LdtStrategy::Awake)),
-            "round" => Ok(Some(LdtStrategy::Round)),
-            other => Err(SpecError::BadValue {
-                param: "strategy".to_string(),
-                value: other.to_string(),
-                expected: "awake or round".to_string(),
-            }),
-        },
+/// A builtin algorithm family with its configuration — everything a
+/// [`Builtin`] runs that is not a shared execution knob.
+#[derive(Debug, Clone, Copy)]
+enum Algo {
+    /// `Awake-MIS`: Theorem 13, or Corollary 14 with the round strategy.
+    Awake(AwakeMisConfig),
+    /// Luby's classical algorithm (always awake).
+    Luby,
+    /// `NA-MIS` (Chatterjee–Gmyr–Pandurangan, arXiv:2006.07449): `O(1)`
+    /// node-averaged awake via immediate dropout; `stride` spaces the
+    /// phases without changing any awake count.
+    Na(NaMisConfig),
+    /// `GP-Avg-MIS` (Ghaffari–Portmann, arXiv:2305.06120): dropout
+    /// phases, then a capped ranked schedule; `balance` dials between
+    /// node-averaged and worst-case awake cost.
+    Avg(AvgMisConfig),
+    /// `LE-MIS` (Ghaffari–Portmann, arXiv:2305.11639): the time/energy
+    /// trade-off over a `2^bits` rank space (see
+    /// `awake_mis_core::low_energy_mis`).
+    Le(LeMisConfig),
+    /// `VT-MIS` over a random ID permutation of `[1, n]`, distinct
+    /// random IDs in `[1, max(id_upper, n)]`, or the `n`
+    /// longest-schedule IDs ([`worst_vt_ids`]).
+    Vt { id_upper: Option<u64>, worst_ids: bool },
+    /// Naive distributed greedy; worst-case IDs are `id[v] = v + 1`,
+    /// which chains the greedy dependencies on path/grid families.
+    Naive { worst_ids: bool },
+    /// `LDT-MIS` on the whole graph with the Lemma 6/7 (`awake`) or
+    /// Lemma 15 (`round`) construction; worst-case IDs pack `1..=n` into
+    /// the bottom of the ID space (maximal shared label prefixes).
+    Ldt { strategy: LdtStrategy, worst_ids: bool },
+}
+
+impl Algo {
+    /// Display name, in the paper's terminology.
+    fn name(&self) -> &'static str {
+        match self {
+            Algo::Awake(cfg) => match cfg.strategy {
+                LdtStrategy::Awake => "Awake-MIS",
+                LdtStrategy::Round => "Awake-MIS-Round",
+            },
+            Algo::Luby => "Luby",
+            Algo::Na(_) => "NA-MIS",
+            Algo::Avg(_) => "GP-Avg-MIS",
+            Algo::Le(_) => "LE-MIS",
+            Algo::Vt { .. } => "VT-MIS",
+            Algo::Naive { .. } => "Naive-Greedy",
+            Algo::Ldt { .. } => "LDT-MIS",
+        }
     }
 }
 
-/// `Awake-MIS` family: Theorem 13 by default, Corollary 14 via
-/// `strategy=round` / `round_efficient=true`, plus every
-/// [`AwakeMisConfig`] knob as a spec parameter.
-struct AwakeRunner {
+/// Reads the `Awake-MIS` family's own parameters on top of its default
+/// `cfg` (Theorem 13, or Corollary 14 for `awake-round`).
+fn read_awake(
+    spec: &AlgorithmSpec,
+    p: &mut ParamReader<'_>,
+    mut cfg: AwakeMisConfig,
+) -> Result<Algo, SpecError> {
+    // `round_efficient` is sugar for `strategy`; asking for both is
+    // ambiguous, so it is rejected rather than resolved by order.
+    match (read_strategy(p)?, p.bool("round_efficient")?) {
+        (Some(_), Some(_)) => {
+            return Err(SpecError::BadValue {
+                param: "round_efficient".to_string(),
+                value: spec.canonical(),
+                expected: "either strategy= or round_efficient=, not both".to_string(),
+            })
+        }
+        (Some(s), None) => cfg.strategy = s,
+        (None, Some(b)) => cfg.strategy = if b { LdtStrategy::Round } else { LdtStrategy::Awake },
+        (None, None) => {}
+    }
+    cfg.delta_factor = p.f64("delta_factor")?.unwrap_or(cfg.delta_factor);
+    cfg.comp_factor = p.f64("comp_factor")?.unwrap_or(cfg.comp_factor);
+    cfg.ell_density = p.f64("ell_density")?.unwrap_or(cfg.ell_density);
+    cfg.always_awake_comm = p.bool("always_awake_comm")?.unwrap_or(cfg.always_awake_comm);
+    cfg.uniform_batches = p.bool("uniform_batches")?.unwrap_or(cfg.uniform_batches);
+    Ok(Algo::Awake(cfg))
+}
+
+/// A protocol output carrying an MIS decision and a Monte Carlo
+/// failure flag.
+trait Decision {
+    fn decision(&self) -> (MisState, bool);
+}
+
+impl Decision for MisState {
+    fn decision(&self) -> (MisState, bool) {
+        (*self, false)
+    }
+}
+
+macro_rules! flagged_decision {
+    ($($output:ty),*) => {$(
+        impl Decision for $output {
+            fn decision(&self) -> (MisState, bool) {
+                (self.state, self.failed)
+            }
+        }
+    )*};
+}
+
+// Adjacent rank collisions (GP-Avg-MIS), epoch-budget exhaustion
+// (LE-MIS) and overflowing LDT stages are Monte Carlo failures, reported
+// alike (module docs of the respective `awake_mis_core` protocols).
+flagged_decision!(AwakeMisOutput, AvgMisOutput, LeMisOutput, LdtMisOutput);
+
+/// Every builtin runner: one algorithm family, its canonical key, and
+/// the shared execution knobs. Built from a spec by the registration
+/// table [`BUILTINS`].
+struct Builtin {
     name: &'static str,
     key: String,
-    cfg: AwakeMisConfig,
     exec: ExecParams,
+    algo: Algo,
 }
 
-impl AwakeRunner {
-    fn from_spec(spec: &AlgorithmSpec, round_default: bool) -> Result<RunnerHandle, SpecError> {
-        let mut cfg = if round_default {
-            AwakeMisConfig::round_efficient()
-        } else {
-            AwakeMisConfig::default()
+impl Builtin {
+    /// Simulates `nodes` on `g` under the runner's execution knobs and
+    /// normalizes the per-node decisions into an [`AlgoResult`].
+    fn simulate<P>(
+        &self,
+        g: &Graph,
+        seed: u64,
+        scratch: &mut ScratchArena,
+        nodes: Vec<P>,
+    ) -> Result<AlgoResult, SimError>
+    where
+        P: Protocol + Send,
+        P::Msg: Send + Sync + 'static,
+        P::Output: Decision,
+    {
+        let cfg = SimConfig {
+            fault: self.exec.fault.clone(),
+            shards: self.exec.shards,
+            trace: self.exec.trace.clone(),
+            ..SimConfig::seeded(seed)
         };
-        let mut p = spec.reader();
-        let strategy = read_strategy(&mut p)?;
-        let round_efficient = p.bool("round_efficient")?;
-        // `round_efficient` is sugar for `strategy`; asking for both is
-        // ambiguous, so it is rejected rather than resolved by order.
-        match (strategy, round_efficient) {
-            (Some(_), Some(_)) => {
-                return Err(SpecError::BadValue {
-                    param: "round_efficient".to_string(),
-                    value: spec.canonical(),
-                    expected: "either strategy= or round_efficient=, not both".to_string(),
-                })
-            }
-            (Some(s), None) => cfg.strategy = s,
-            (None, Some(b)) => {
-                cfg.strategy = if b { LdtStrategy::Round } else { LdtStrategy::Awake }
-            }
-            (None, None) => {}
-        }
-        if let Some(v) = p.f64("delta_factor")? {
-            cfg.delta_factor = v;
-        }
-        if let Some(v) = p.f64("comp_factor")? {
-            cfg.comp_factor = v;
-        }
-        if let Some(v) = p.f64("ell_density")? {
-            cfg.ell_density = v;
-        }
-        if let Some(b) = p.bool("always_awake_comm")? {
-            cfg.always_awake_comm = b;
-        }
-        if let Some(b) = p.bool("uniform_batches")? {
-            cfg.uniform_batches = b;
-        }
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        let name = match cfg.strategy {
-            LdtStrategy::Awake => "Awake-MIS",
-            LdtStrategy::Round => "Awake-MIS-Round",
-        };
-        Ok(RunnerHandle::new(AwakeRunner { name, key: runner_key(spec), cfg, exec }))
+        let report = Simulator::new(g.clone(), nodes, cfg).run_in(scratch)?;
+        let failures = report.outputs.iter().filter(|o| o.decision().1).count();
+        let states = report.outputs.into_iter().map(|o| o.decision().0).collect();
+        Ok(AlgoResult::from_states(self.name, &self.key, g, states, failures, report.metrics))
     }
 }
 
-impl DynRunner for AwakeRunner {
+impl DynRunner for Builtin {
     fn name(&self) -> &str {
         self.name
     }
@@ -423,490 +466,155 @@ impl DynRunner for AwakeRunner {
         seed: u64,
         scratch: &mut ScratchArena,
     ) -> Result<AlgoResult, SimError> {
-        let nodes = (0..g.n()).map(|_| AwakeMis::new(self.cfg)).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        let failures = report.outputs.iter().filter(|o| o.failed).count();
-        let states = report.outputs.iter().map(|o| o.state).collect();
-        Ok(AlgoResult::from_states(self.name, &self.key, g, states, failures, report.metrics))
-    }
-}
-
-/// Luby's classical algorithm (always awake); takes only the shared
-/// fault parameters.
-struct LubyRunner {
-    key: String,
-    exec: ExecParams,
-}
-
-impl LubyRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut p = spec.reader();
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(LubyRunner { key: runner_key(spec), exec }))
-    }
-}
-
-impl DynRunner for LubyRunner {
-    fn name(&self) -> &str {
-        "Luby"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let nodes = (0..g.n()).map(|_| Luby::new()).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        Ok(AlgoResult::from_states("Luby", &self.key, g, report.outputs, 0, report.metrics))
-    }
-}
-
-/// `NA-MIS` (Chatterjee–Gmyr–Pandurangan, arXiv:2006.07449): `O(1)`
-/// *node-averaged* awake complexity via immediate dropout. Parameters:
-/// `stride=R` spaces the compete/resolve phases `R` rounds apart
-/// (default 2 = back to back) without changing any awake count.
-struct NaRunner {
-    key: String,
-    cfg: NaMisConfig,
-    exec: ExecParams,
-}
-
-impl NaRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut cfg = NaMisConfig::default();
-        let mut p = spec.reader();
-        if let Some(v) = p.u64("stride")? {
-            if v < 2 {
-                return Err(SpecError::BadValue {
-                    param: "stride".to_string(),
-                    value: v.to_string(),
-                    expected: "an integer ≥ 2 (a phase spans two rounds)".to_string(),
-                });
-            }
-            cfg.stride = v;
-        }
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(NaRunner { key: runner_key(spec), cfg, exec }))
-    }
-}
-
-impl DynRunner for NaRunner {
-    fn name(&self) -> &str {
-        "NA-MIS"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let nodes = (0..g.n()).map(|_| NaMis::new(self.cfg)).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        Ok(AlgoResult::from_states("NA-MIS", &self.key, g, report.outputs, 0, report.metrics))
-    }
-}
-
-/// `GP-Avg-MIS` (Ghaffari–Portmann, arXiv:2305.06120): dropout phases
-/// followed by a deterministically-capped ranked schedule. The
-/// `balance=K` parameter (default 3) sets the number of dropout phases
-/// — the dial between node-averaged and worst-case awake cost.
-struct AvgRunner {
-    key: String,
-    cfg: AvgMisConfig,
-    exec: ExecParams,
-}
-
-impl AvgRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut cfg = AvgMisConfig::default();
-        let mut p = spec.reader();
-        if let Some(v) = p.u64("balance")? {
-            cfg.balance = v;
-        }
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(AvgRunner { key: runner_key(spec), cfg, exec }))
-    }
-}
-
-impl DynRunner for AvgRunner {
-    fn name(&self) -> &str {
-        "GP-Avg-MIS"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let nodes = (0..g.n()).map(|_| AvgMis::new(self.cfg)).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        // An adjacent rank collision is a Monte Carlo failure (module
-        // docs of `awake_mis_core::avg_mis`), reported like Awake-MIS's.
-        let failures = report.outputs.iter().filter(|o| o.failed).count();
-        let states = report.outputs.iter().map(|o| o.state).collect();
-        Ok(AlgoResult::from_states("GP-Avg-MIS", &self.key, g, states, failures, report.metrics))
-    }
-}
-
-/// `LE-MIS` (Ghaffari–Portmann, arXiv:2305.11639): the explicit
-/// time/energy trade-off — epoch-ranked schedules over a `2^bits` rank
-/// space. `bits=B` is the dial (tiny = time-optimal but energy-hungry,
-/// moderate = energy-optimal, the large tail dominated on both — see
-/// `awake_mis_core::low_energy_mis`); `max_epochs=E` bounds the Monte
-/// Carlo retries.
-struct LeRunner {
-    key: String,
-    cfg: LeMisConfig,
-    exec: ExecParams,
-}
-
-impl LeRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut cfg = LeMisConfig::default();
-        let mut p = spec.reader();
-        if let Some(v) = p.u64("bits")? {
-            if v < 1 || v > u64::from(LE_MAX_BITS) {
-                return Err(SpecError::BadValue {
-                    param: "bits".to_string(),
-                    value: v.to_string(),
-                    expected: format!("an integer in [1, {LE_MAX_BITS}]"),
-                });
-            }
-            cfg.bits = v as u32;
-        }
-        if let Some(v) = p.u64("max_epochs")? {
-            if v == 0 {
-                return Err(SpecError::BadValue {
-                    param: "max_epochs".to_string(),
-                    value: v.to_string(),
-                    expected: "a positive epoch budget".to_string(),
-                });
-            }
-            cfg.max_epochs = v;
-        }
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(LeRunner { key: runner_key(spec), cfg, exec }))
-    }
-}
-
-impl DynRunner for LeRunner {
-    fn name(&self) -> &str {
-        "LE-MIS"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let nodes = (0..g.n()).map(|_| LeMis::new(self.cfg)).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        // Epoch-budget exhaustion is a Monte Carlo failure (module docs
-        // of `awake_mis_core::low_energy_mis`), reported like Awake-MIS's.
-        let failures = report.outputs.iter().filter(|o| o.failed).count();
-        let states = report.outputs.iter().map(|o| o.state).collect();
-        Ok(AlgoResult::from_states("LE-MIS", &self.key, g, states, failures, report.metrics))
-    }
-}
-
-/// `VT-MIS`: random ID permutation over `[1, n]` by default; the
-/// `id_upper=U` parameter sweeps the ID space instead (distinct random
-/// IDs in `[1, max(U, n)]`, so awake complexity scales with `log U`).
-/// `adv_ids=worst` replaces the random draw with the adversarial
-/// assignment: the `n` longest-schedule IDs (see [`worst_vt_ids`]).
-struct VtRunner {
-    key: String,
-    id_upper: Option<u64>,
-    adv_ids: IdAssignment,
-    exec: ExecParams,
-}
-
-impl VtRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut p = spec.reader();
-        let id_upper = p.u64("id_upper")?;
-        let adv_ids = read_adv_ids(&mut p)?;
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(VtRunner { key: runner_key(spec), id_upper, adv_ids, exec }))
-    }
-}
-
-impl DynRunner for VtRunner {
-    fn name(&self) -> &str {
-        "VT-MIS"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
         let n = g.n();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x77);
-        let upper = self.id_upper.map_or(n as u64, |u| u.max(n as u64));
-        let ids = match (self.adv_ids, self.id_upper) {
-            (IdAssignment::Worst, _) => worst_vt_ids(n, upper),
-            (IdAssignment::Random, None) => {
-                let mut ids: Vec<u64> = (1..=n as u64).collect();
-                ids.shuffle(&mut rng);
-                ids
-            }
-            (IdAssignment::Random, Some(_)) => draw_distinct_ids(n, upper, &mut rng),
+        let id_rng = || SmallRng::seed_from_u64(seed ^ 0x77);
+        let shuffled = || {
+            let mut ids: Vec<u64> = (1..=n as u64).collect();
+            ids.shuffle(&mut id_rng());
+            ids
         };
-        let nodes = (0..n).map(|v| Standalone::new(VtMis::new(ids[v], upper, None))).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        Ok(AlgoResult::from_states("VT-MIS", &self.key, g, report.outputs, 0, report.metrics))
-    }
-}
-
-/// Naive distributed greedy baseline. `adv_ids=worst` pins the
-/// adversarial sequential assignment `id[v] = v + 1` (ID order
-/// correlated with node numbering — on path/grid families this chains
-/// the greedy dependencies) instead of a random permutation.
-struct NaiveRunner {
-    key: String,
-    adv_ids: IdAssignment,
-    exec: ExecParams,
-}
-
-impl NaiveRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut p = spec.reader();
-        let adv_ids = read_adv_ids(&mut p)?;
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(NaiveRunner { key: runner_key(spec), adv_ids, exec }))
-    }
-}
-
-impl DynRunner for NaiveRunner {
-    fn name(&self) -> &str {
-        "Naive-Greedy"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let n = g.n();
-        let mut ids: Vec<u64> = (1..=n as u64).collect();
-        if self.adv_ids == IdAssignment::Random {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x77);
-            ids.shuffle(&mut rng);
-        }
-        let nodes = (0..n).map(|v| NaiveGreedy::new(ids[v], n as u64)).collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        Ok(AlgoResult::from_states(
-            "Naive-Greedy",
-            &self.key,
-            g,
-            report.outputs,
-            0,
-            report.metrics,
-        ))
-    }
-}
-
-/// `LDT-MIS` on the whole graph; `strategy=awake|round` picks the LDT
-/// construction (Lemma 6/7 vs Lemma 15). `adv_ids=worst` packs the IDs
-/// into the bottom of the huge ID space (`1..=n`, maximal shared
-/// prefixes in the labeling tree) instead of random distinct draws.
-struct LdtRunner {
-    key: String,
-    strategy: LdtStrategy,
-    adv_ids: IdAssignment,
-    exec: ExecParams,
-}
-
-impl LdtRunner {
-    fn from_spec(spec: &AlgorithmSpec) -> Result<RunnerHandle, SpecError> {
-        let mut p = spec.reader();
-        let strategy = read_strategy(&mut p)?.unwrap_or(LdtStrategy::Awake);
-        let adv_ids = read_adv_ids(&mut p)?;
-        let exec = read_exec(&mut p)?;
-        p.finish()?;
-        Ok(RunnerHandle::new(LdtRunner { key: runner_key(spec), strategy, adv_ids, exec }))
-    }
-}
-
-impl DynRunner for LdtRunner {
-    fn name(&self) -> &str {
-        "LDT-MIS"
-    }
-
-    fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.exec.trace.as_ref()
-    }
-
-    fn run_on(
-        &self,
-        g: &Graph,
-        seed: u64,
-        scratch: &mut ScratchArena,
-    ) -> Result<AlgoResult, SimError> {
-        let n = g.n();
-        let id_upper = (n.max(4) as u64).pow(3).max(1 << 24);
-        let ids = match self.adv_ids {
-            IdAssignment::Random => {
-                let mut rng = SmallRng::seed_from_u64(seed ^ 0x77);
-                draw_distinct_ids(n, id_upper, &mut rng)
+        match self.algo {
+            Algo::Awake(cfg) => {
+                self.simulate(g, seed, scratch, (0..n).map(|_| AwakeMis::new(cfg)).collect())
             }
-            IdAssignment::Worst => (1..=n as u64).collect(),
-        };
-        let nodes = (0..n)
-            .map(|v| {
-                Standalone::new(LdtMis::new(LdtMisParams {
-                    my_id: ids[v],
-                    id_upper,
-                    k: n.max(1) as u32,
-                    strategy: self.strategy,
-                }))
-            })
-            .collect();
-        let report =
-            Simulator::new(g.clone(), nodes, sim_config(seed, &self.exec)).run_in(scratch)?;
-        let failures = report.outputs.iter().filter(|o| o.failed).count();
-        let states = report.outputs.iter().map(|o| o.state).collect();
-        Ok(AlgoResult::from_states("LDT-MIS", &self.key, g, states, failures, report.metrics))
+            Algo::Luby => self.simulate(g, seed, scratch, (0..n).map(|_| Luby::new()).collect()),
+            Algo::Na(cfg) => {
+                self.simulate(g, seed, scratch, (0..n).map(|_| NaMis::new(cfg)).collect())
+            }
+            Algo::Avg(cfg) => {
+                self.simulate(g, seed, scratch, (0..n).map(|_| AvgMis::new(cfg)).collect())
+            }
+            Algo::Le(cfg) => {
+                self.simulate(g, seed, scratch, (0..n).map(|_| LeMis::new(cfg)).collect())
+            }
+            Algo::Vt { id_upper, worst_ids } => {
+                let upper = id_upper.map_or(n as u64, |u| u.max(n as u64));
+                let ids = match (worst_ids, id_upper) {
+                    (true, _) => worst_vt_ids(n, upper),
+                    (false, None) => shuffled(),
+                    (false, Some(_)) => draw_distinct_ids(n, upper, &mut id_rng()),
+                };
+                let nodes = ids.iter().map(|&id| Standalone::new(VtMis::new(id, upper, None)));
+                self.simulate(g, seed, scratch, nodes.collect())
+            }
+            Algo::Naive { worst_ids } => {
+                let ids = if worst_ids { (1..=n as u64).collect() } else { shuffled() };
+                let nodes = ids.iter().map(|&id| NaiveGreedy::new(id, n as u64));
+                self.simulate(g, seed, scratch, nodes.collect())
+            }
+            Algo::Ldt { strategy, worst_ids } => {
+                let id_upper = (n.max(4) as u64).pow(3).max(1 << 24);
+                let ids = if worst_ids {
+                    (1..=n as u64).collect()
+                } else {
+                    draw_distinct_ids(n, id_upper, &mut id_rng())
+                };
+                let k = n.max(1) as u32;
+                let nodes = ids.iter().map(|&my_id| {
+                    Standalone::new(LdtMis::new(LdtMisParams { my_id, id_upper, k, strategy }))
+                });
+                self.simulate(g, seed, scratch, nodes.collect())
+            }
+        }
     }
 }
 
-/// Registers every built-in algorithm family. Called by
-/// [`Registry::builtin`].
-pub(crate) fn register_builtins(reg: &mut Registry) {
-    reg.register_aliased(
+/// Reads a builtin family's own parameters into its [`Algo`].
+type ReadAlgo = fn(&AlgorithmSpec, &mut ParamReader<'_>) -> Result<Algo, SpecError>;
+
+/// The registration table, in comparison-table order: CLI key plus
+/// aliases, the `--list-algos` description, and the family's parameter
+/// reader. Every entry also accepts the shared execution parameters
+/// ([`read_exec`]).
+const BUILTINS: [(&[&str], &str, ReadAlgo); 9] = [
+    (
         &["awake", "awake-mis"],
         "Awake-MIS (Theorem 13): O(log log n) awake. Params: strategy=awake|round, \
          round_efficient, delta_factor, comp_factor, ell_density, always_awake_comm, \
          uniform_batches",
-        |spec| AwakeRunner::from_spec(spec, false),
-    )
-    .expect("builtin keys are distinct");
-    reg.register_aliased(
+        |spec, p| read_awake(spec, p, AwakeMisConfig::default()),
+    ),
+    (
         &["awake-round", "awake-mis-round"],
         "Awake-MIS with round-efficient LDTs (Corollary 14). Same params as awake",
-        |spec| AwakeRunner::from_spec(spec, true),
-    )
-    .expect("builtin keys are distinct");
-    reg.register_aliased(
+        |spec, p| read_awake(spec, p, AwakeMisConfig::round_efficient()),
+    ),
+    (
         &["ldt", "ldt-mis"],
         "LDT-MIS on the whole graph (Lemma 11). Params: strategy=awake|round, \
          adv_ids=random|worst",
-        LdtRunner::from_spec,
-    )
-    .expect("builtin keys are distinct");
-    reg.register_aliased(
+        |_, p| {
+            let strategy = read_strategy(p)?.unwrap_or(LdtStrategy::Awake);
+            Ok(Algo::Ldt { strategy, worst_ids: read_worst_ids(p)? })
+        },
+    ),
+    (
         &["vt", "vt-mis"],
         "VT-MIS (Lemma 10): O(log I) awake. Params: id_upper=U (ID-space sweep), \
          adv_ids=random|worst (adversarial longest-schedule IDs)",
-        VtRunner::from_spec,
-    )
-    .expect("builtin keys are distinct");
-    reg.register_aliased(
+        |_, p| {
+            let id_upper = p.u64("id_upper")?;
+            Ok(Algo::Vt { id_upper, worst_ids: read_worst_ids(p)? })
+        },
+    ),
+    (
         &["naive", "naive-greedy"],
         "Naive distributed greedy baseline (always awake, Θ(I) rounds). Params: \
          adv_ids=random|worst",
-        NaiveRunner::from_spec,
-    )
-    .expect("builtin keys are distinct");
-    reg.register_aliased(&["luby"], "Luby's algorithm (always awake, Θ(log n)). No params", |spec| {
-        LubyRunner::from_spec(spec)
-    })
-    .expect("builtin keys are distinct");
-    reg.register_aliased(
+        |_, p| Ok(Algo::Naive { worst_ids: read_worst_ids(p)? }),
+    ),
+    (&["luby"], "Luby's algorithm (always awake, Θ(log n)). No params", |_, _| Ok(Algo::Luby)),
+    (
         &["na", "na-mis"],
         "NA-MIS (CGP 2020): O(1) node-averaged awake via dropout phases. Params: stride=R \
          (rounds between phases, default 2)",
-        NaRunner::from_spec,
-    )
-    .expect("builtin keys are distinct");
-    reg.register_aliased(
+        |_, p| {
+            let d = NaMisConfig::default();
+            let expected = "an integer ≥ 2 (a phase spans two rounds)";
+            let stride = bounded(p, "stride", 2..=u64::MAX, expected)?;
+            Ok(Algo::Na(NaMisConfig { stride: stride.unwrap_or(d.stride), ..d }))
+        },
+    ),
+    (
         &["gp-avg", "gp-avg-mis"],
         "GP-Avg-MIS (GP 2023): dropout + capped ranked finish. Params: balance=K \
          (dropout phases before the ranked stage, default 3)",
-        AvgRunner::from_spec,
-    )
-    .expect("builtin keys are distinct");
-    reg.register_aliased(
+        |_, p| {
+            let balance = p.u64("balance")?.unwrap_or(AvgMisConfig::default().balance);
+            Ok(Algo::Avg(AvgMisConfig { balance }))
+        },
+    ),
+    (
         &["le", "le-mis"],
         "LE-MIS (GP 2023 low-energy): epoch-ranked time/energy trade-off. Params: bits=B \
          (rank bits per epoch, default auto = ⌈log₂ n⌉), max_epochs=E (Monte Carlo \
          budget, default 64)",
-        LeRunner::from_spec,
-    )
-    .expect("builtin keys are distinct");
+        |_, p| {
+            let d = LeMisConfig::default();
+            let range = 1..=u64::from(LE_MAX_BITS);
+            let bits = bounded(p, "bits", range, &format!("an integer in [1, {LE_MAX_BITS}]"))?;
+            let epochs = bounded(p, "max_epochs", 1..=u64::MAX, "a positive epoch budget")?;
+            Ok(Algo::Le(LeMisConfig {
+                bits: bits.map_or(d.bits, |b| b as u32),
+                max_epochs: epochs.unwrap_or(d.max_epochs),
+            }))
+        },
+    ),
+];
+
+/// Registers every built-in algorithm family from [`BUILTINS`]. Called
+/// by [`Registry::builtin`].
+pub(crate) fn register_builtins(reg: &mut Registry) {
+    for (keys, about, read) in BUILTINS {
+        reg.register_aliased(keys, about, move |spec| {
+            let mut p = spec.reader();
+            let algo = read(spec, &mut p)?;
+            let exec = read_exec(&mut p)?;
+            p.finish()?;
+            Ok(RunnerHandle::new(Builtin { name: algo.name(), key: runner_key(spec), exec, algo }))
+        })
+        .expect("builtin keys are distinct");
+    }
 }
 
 #[cfg(test)]

@@ -114,9 +114,10 @@ pub enum SpecError {
         param: String,
     },
     /// [`Registry::register`] was called with a key (or alias) already
-    /// registered.
+    /// registered, or an experiment lists one value twice (two
+    /// expansion points, or two values of one axis).
     DuplicateKey {
-        /// The contested key.
+        /// The contested key (`axis=value` for an experiment axis).
         key: String,
     },
 }
@@ -141,9 +142,12 @@ impl fmt::Display for SpecError {
             SpecError::DuplicateParam { param } => {
                 write!(f, "parameter {param:?} given more than once")
             }
-            SpecError::DuplicateKey { key } => {
-                write!(f, "an algorithm is already registered under {key:?}")
-            }
+            // Experiment axes key their values `axis=value`; registry
+            // keys never contain `=`.
+            SpecError::DuplicateKey { key } => match key.split_once('=') {
+                Some((axis, value)) => write!(f, "{axis} {value:?} is listed twice"),
+                None => write!(f, "an algorithm is already registered under {key:?}"),
+            },
         }
     }
 }
@@ -690,6 +694,7 @@ mod tests {
             .register("awake", "clash", |_| unreachable!("never built"))
             .unwrap_err();
         assert_eq!(err, SpecError::DuplicateKey { key: "awake".to_string() });
+        assert_eq!(err.to_string(), "an algorithm is already registered under \"awake\"");
         // Aliases clash too.
         let err = reg.register("awake-mis", "clash", |_| unreachable!()).unwrap_err();
         assert!(matches!(err, SpecError::DuplicateKey { .. }));

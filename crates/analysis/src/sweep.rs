@@ -1,4 +1,4 @@
-//! Parameter sweeps and the energy frontier.
+//! Parameter sweeps and the energy frontier: the Pareto view.
 //!
 //! The sleeping-model literature is a trade-off *surface*: worst-case
 //! awake (the source paper), node-averaged awake (Ghaffari–Portmann,
@@ -15,12 +15,12 @@
 //!    strict: unknown keys/params, empty or inverted ranges, zero steps,
 //!    duplicate expansion points, and oversized expansions are all
 //!    errors. A single-valued spec expands to exactly itself.
-//! 2. **The sweep engine** — [`run_sweep`] runs
-//!    `{expanded spec × family × n × seed}` through the same
-//!    deterministic batch fan-out as [`crate::grid`] (byte-identical
-//!    payloads for every thread count), additionally pricing every run
-//!    with the [`EnergyModel`]: worst-node and mean-node energy in
-//!    millijoules, residual sleep draw included.
+//! 2. **The sweep view** — [`run_sweep`] runs
+//!    `{expanded spec × family × n × seed}` on the same experiment core
+//!    as [`crate::grid`] (same jobs, same fan-out, byte-identical
+//!    payloads for every thread count), and prices every run with the
+//!    [`EnergyModel`]: worst-node and mean-node energy in millijoules,
+//!    residual sleep draw included.
 //! 3. **Pareto analysis** — per `{family × n}` cell, every swept
 //!    `(algorithm, param)` point is scored on
 //!    `(rounds, max awake, mean awake, worst-node energy)` and the
@@ -55,19 +55,16 @@
 //! ```
 
 use crate::energy::EnergyModel;
-use crate::grid::{
-    json_escape, run_point_detailed, summary_json, GridJob, GridMeta, GridPoint,
+use crate::experiment::{
+    distinct, document, expand_params, expand_specs, fan_out, json_escape, meta_lines, product,
+    quoted, summary, summary_json, sweep_spec_json,
 };
-use crate::spec::{default_registry, AlgorithmSpec, Registry, RunnerHandle, SpecError};
+use crate::grid::{run_point, GridMeta, GridPoint};
+use crate::spec::{AlgorithmSpec, Registry, RunnerHandle, SpecError};
 use crate::stats::Summary;
 use graphgen::GraphFamily;
-use sleeping_congest::batch::{resolve_threads, run_batch};
-use sleeping_congest::ScratchArena;
 
-/// Cap on the number of concrete points one spec string may expand to —
-/// a typo like `bits=0..1000000` must fail loudly, not spawn a month of
-/// work.
-pub const MAX_EXPANSION: usize = 256;
+pub use crate::experiment::MAX_EXPANSION;
 
 /// One spec string's expansion: the raw sweep spec as written plus the
 /// ordered family of concrete runners it denotes.
@@ -77,44 +74,6 @@ pub struct SweepGroup {
     pub raw: String,
     /// The expanded concrete runners, in expansion order.
     pub runners: Vec<RunnerHandle>,
-}
-
-/// The expanded values of one parameter, plus whether the expression was
-/// a range (ranges are what `step=` applies to).
-fn expand_value(param: &str, value: &str, step: u64) -> Result<(Vec<String>, bool), SpecError> {
-    let bad = |expected: &str| SpecError::BadValue {
-        param: param.to_string(),
-        value: value.to_string(),
-        expected: expected.to_string(),
-    };
-    if let Some((lo, hi)) = value.split_once("..") {
-        let lo: u64 = lo.trim().parse().map_err(|_| bad("an integer range lo..hi"))?;
-        let hi: u64 = hi.trim().parse().map_err(|_| bad("an integer range lo..hi"))?;
-        if lo > hi {
-            return Err(bad("a non-empty range (lo must not exceed hi)"));
-        }
-        let mut out = Vec::new();
-        let mut v = lo;
-        loop {
-            out.push(v.to_string());
-            match v.checked_add(step) {
-                Some(next) if next <= hi => v = next,
-                _ => break,
-            }
-            if out.len() > MAX_EXPANSION {
-                return Err(bad("a range expanding to at most 256 points"));
-            }
-        }
-        return Ok((out, true));
-    }
-    if value.contains(',') {
-        let items: Vec<String> = value.split(',').map(|s| s.trim().to_string()).collect();
-        if items.iter().any(String::is_empty) {
-            return Err(bad("a comma list without empty elements"));
-        }
-        return Ok((items, false));
-    }
-    Ok((vec![value.to_string()], false))
 }
 
 /// Expands one (possibly range-valued) spec string into its ordered
@@ -129,78 +88,13 @@ fn expand_value(param: &str, value: &str, step: u64) -> Result<(Vec<String>, boo
 /// same canonical spec).
 pub fn expand(registry: &Registry, raw: &str) -> Result<SweepGroup, SpecError> {
     let spec = AlgorithmSpec::parse(raw)?;
-
-    // Pull out the reserved `step=` parameter.
-    let mut step: Option<u64> = None;
-    let mut params: Vec<(&str, &str)> = Vec::new();
-    for (name, value) in spec.params() {
-        if name == "step" {
-            let v: u64 = value.parse().map_err(|_| SpecError::BadValue {
-                param: "step".to_string(),
-                value: value.to_string(),
-                expected: "a positive integer".to_string(),
-            })?;
-            if v == 0 {
-                return Err(SpecError::BadValue {
-                    param: "step".to_string(),
-                    value: value.to_string(),
-                    expected: "a positive integer".to_string(),
-                });
-            }
-            step = Some(v);
-        } else {
-            params.push((name, value));
-        }
-    }
-
-    // Expand every parameter value; cartesian product in spec order.
-    let mut axes: Vec<(&str, Vec<String>)> = Vec::new();
-    let mut saw_range = false;
-    for (name, value) in &params {
-        let (values, was_range) = expand_value(name, value, step.unwrap_or(1))?;
-        saw_range |= was_range;
-        axes.push((name, values));
-    }
-    if let Some(s) = step {
-        if !saw_range {
-            return Err(SpecError::BadValue {
-                param: "step".to_string(),
-                value: s.to_string(),
-                expected: "a range-valued parameter for step= to apply to".to_string(),
-            });
-        }
-    }
-    let count: usize = axes.iter().map(|(_, v)| v.len()).product();
-    if count > MAX_EXPANSION {
-        return Err(SpecError::BadValue {
-            param: "spec".to_string(),
-            value: raw.trim().to_string(),
-            expected: format!("at most {MAX_EXPANSION} expansion points, got {count}"),
-        });
-    }
-
-    let mut runners = Vec::with_capacity(count);
-    for idx in 0..count {
-        // Mixed-radix decode, last axis fastest.
-        let mut rest = idx;
-        let mut picks = vec![0usize; axes.len()];
-        for (a, (_, values)) in axes.iter().enumerate().rev() {
-            picks[a] = rest % values.len();
-            rest /= values.len();
-        }
-        let mut s = spec.key().to_string();
-        for (a, (name, values)) in axes.iter().enumerate() {
-            s.push(if a == 0 { '?' } else { '&' });
-            s.push_str(name);
-            s.push('=');
-            s.push_str(&values[picks[a]]);
-        }
-        let runner = registry.resolve(&s)?;
-        if runners.iter().any(|r: &RunnerHandle| r.key() == runner.key()) {
-            return Err(SpecError::DuplicateKey { key: runner.key().to_string() });
-        }
-        runners.push(runner);
-    }
+    let params: Vec<(&str, &str)> =
+        spec.params().iter().map(|(name, value)| (name.as_str(), value.as_str())).collect();
+    let runners = expand_params("spec", raw, spec.key(), &params)?
+        .iter()
+        .map(|point| registry.resolve(point))
+        .collect::<Result<Vec<_>, _>>()?;
+    distinct("algorithm", runners.iter().map(RunnerHandle::key))?;
     Ok(SweepGroup { raw: raw.trim().to_string(), runners })
 }
 
@@ -229,87 +123,33 @@ pub fn expand(registry: &Registry, raw: &str) -> Result<SweepGroup, SpecError> {
 /// same canonical family.
 pub fn expand_families(raw: &str) -> Result<Vec<GraphFamily>, SpecError> {
     let trimmed = raw.trim();
-    let bad_family = |value: &str, expected: &str| SpecError::BadValue {
-        param: "family".to_string(),
-        value: value.to_string(),
-        expected: expected.to_string(),
+    let (base, params) = match trimmed.split_once('?') {
+        None => (trimmed, Vec::new()),
+        Some((base, params)) => (
+            base,
+            params
+                .split('&')
+                .map(|part| {
+                    part.split_once('=').ok_or_else(|| SpecError::Syntax {
+                        spec: trimmed.to_string(),
+                        detail: format!("family parameter {part:?} is not `name=value`"),
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+        ),
     };
-    let Some((base, params_str)) = trimmed.split_once('?') else {
-        let f = GraphFamily::parse(trimmed)
-            .ok_or_else(|| bad_family(trimmed, "a known graph family key"))?;
-        return Ok(vec![f]);
-    };
-
-    // Same reserved `step=` convention as algorithm sweeps.
-    let mut step: Option<u64> = None;
-    let mut params: Vec<(&str, &str)> = Vec::new();
-    for part in params_str.split('&') {
-        let (name, value) = part.split_once('=').ok_or_else(|| SpecError::Syntax {
-            spec: trimmed.to_string(),
-            detail: format!("family parameter {part:?} is not `name=value`"),
-        })?;
-        if name == "step" {
-            let v = value.parse().ok().filter(|&v: &u64| v > 0).ok_or_else(|| {
-                SpecError::BadValue {
-                    param: "step".to_string(),
-                    value: value.to_string(),
-                    expected: "a positive integer".to_string(),
-                }
-            })?;
-            step = Some(v);
-        } else {
-            params.push((name, value));
-        }
-    }
-
-    let mut axes: Vec<(&str, Vec<String>)> = Vec::new();
-    let mut saw_range = false;
-    for (name, value) in &params {
-        let (values, was_range) = expand_value(name, value, step.unwrap_or(1))?;
-        saw_range |= was_range;
-        axes.push((name, values));
-    }
-    if let Some(s) = step {
-        if !saw_range {
-            return Err(SpecError::BadValue {
-                param: "step".to_string(),
-                value: s.to_string(),
-                expected: "a range-valued parameter for step= to apply to".to_string(),
-            });
-        }
-    }
-    let count: usize = axes.iter().map(|(_, v)| v.len()).product();
-    if count > MAX_EXPANSION {
-        return Err(bad_family(
-            trimmed,
-            &format!("at most {MAX_EXPANSION} expansion points, got {count}"),
-        ));
-    }
-
-    let mut out = Vec::with_capacity(count);
-    for idx in 0..count {
-        // Mixed-radix decode, last axis fastest (as in [`expand`]).
-        let mut rest = idx;
-        let mut picks = vec![0usize; axes.len()];
-        for (a, (_, values)) in axes.iter().enumerate().rev() {
-            picks[a] = rest % values.len();
-            rest /= values.len();
-        }
-        let mut s = base.to_string();
-        for (a, (name, values)) in axes.iter().enumerate() {
-            s.push(if a == 0 { '?' } else { '&' });
-            s.push_str(name);
-            s.push('=');
-            s.push_str(&values[picks[a]]);
-        }
-        let family = GraphFamily::parse(&s)
-            .ok_or_else(|| bad_family(&s, "a family point GraphFamily::parse accepts"))?;
-        if out.contains(&family) {
-            return Err(SpecError::DuplicateKey { key: family.key() });
-        }
-        out.push(family);
-    }
-    Ok(out)
+    let families = expand_params("family", raw, base, &params)?
+        .iter()
+        .map(|point| {
+            GraphFamily::parse(point).ok_or_else(|| SpecError::BadValue {
+                param: "family".to_string(),
+                value: point.clone(),
+                expected: "a family point GraphFamily::parse accepts".to_string(),
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    distinct("family", families.iter().map(|f| f.key()))?;
+    Ok(families)
 }
 
 /// A sweep: range-valued specs crossed with graph families, sizes, and
@@ -401,6 +241,42 @@ impl SweepCell {
     pub fn frontier(&self) -> Vec<&str> {
         self.entries.iter().filter(|e| e.pareto).map(|e| e.algorithm.key()).collect()
     }
+
+    /// Marks the Pareto frontier over the seed-mean objectives, all
+    /// minimized. Incorrect entries are excluded outright: an aborted
+    /// or failing run's zeroed measurements must never "dominate".
+    fn annotate_frontier(&mut self) {
+        let entries = &mut self.entries;
+        let scored: Vec<usize> = (0..entries.len()).filter(|&i| entries[i].all_correct).collect();
+        let objectives: Vec<Vec<f64>> = scored
+            .iter()
+            .map(|&i| {
+                let e = &entries[i];
+                vec![e.rounds.mean, e.awake_max.mean, e.awake_avg.mean, e.energy_max_mj.mean]
+            })
+            .collect();
+        for (rank, dom) in dominators(&objectives).into_iter().enumerate() {
+            let i = scored[rank];
+            match dom {
+                None => entries[i].pareto = true,
+                Some(d) => {
+                    entries[i].dominated_by = Some(entries[scored[d]].algorithm.key().to_string());
+                }
+            }
+        }
+    }
+
+    fn json(&self) -> String {
+        let entries: Vec<String> =
+            self.entries.iter().map(|e| format!("      {}", e.json())).collect();
+        format!(
+            "{{\"family\":\"{}\",\"n\":{},\"frontier\":[{}],\"entries\":[\n{}\n    ]}}",
+            self.family.key(),
+            self.n,
+            quoted(self.frontier().into_iter()),
+            entries.join(",\n"),
+        )
+    }
 }
 
 /// The outcome of [`run_sweep`].
@@ -456,127 +332,47 @@ pub fn dominators(objectives: &[Vec<f64>]) -> Vec<Option<usize>> {
 ///
 /// # Errors
 ///
-/// Expansion errors (see [`expand`]); also rejects a sweep with zero
-/// expanded points or zero seeds ([`SpecError::Syntax`]).
+/// Expansion errors (see [`expand`]); [`SpecError::DuplicateKey`] when
+/// a point, family, size or seed is listed twice; also rejects a sweep
+/// with zero expanded points or zero seeds ([`SpecError::Syntax`]).
 pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, SpecError> {
-    let registry = default_registry();
-    let mut groups = Vec::with_capacity(spec.specs.len());
-    let mut flat: Vec<(usize, RunnerHandle)> = Vec::new();
-    for (gi, raw) in spec.specs.iter().enumerate() {
-        let group = expand(registry, raw)?;
-        for r in &group.runners {
-            if flat.iter().any(|(_, f)| f.key() == r.key()) {
-                return Err(SpecError::DuplicateKey { key: r.key().to_string() });
-            }
-            flat.push((gi, r.clone()));
-        }
-        groups.push(group);
-    }
-    if flat.is_empty() || spec.seeds.is_empty() {
-        return Err(SpecError::Syntax {
-            spec: spec.specs.join(","),
-            detail: "a sweep needs at least one algorithm point and one seed".to_string(),
-        });
-    }
-
-    // Jobs in sweep order: algorithm-major, seed-minor (grid order).
-    let mut jobs = Vec::with_capacity(
-        flat.len() * spec.families.len() * spec.sizes.len() * spec.seeds.len(),
-    );
-    for (_, algorithm) in &flat {
-        for &family in &spec.families {
-            for &n in &spec.sizes {
-                for &seed in &spec.seeds {
-                    jobs.push(GridJob { algorithm: algorithm.clone(), family, n, seed });
-                }
-            }
-        }
-    }
-    let threads = resolve_threads(spec.threads);
+    let (groups, jobs) = expand_specs(&spec.specs, &spec.families, &spec.sizes, &spec.seeds)?;
     let energy = spec.energy;
-    let points = run_batch(&jobs, threads, |_| ScratchArena::new(), move |scratch, _i, job| {
-        let (point, metrics) = run_point_detailed(job, scratch);
-        let (energy_max_mj, energy_mean_mj) = match &metrics {
-            Some(m) => (
-                energy.max_node_energy_mj(&m.awake_rounds, &m.terminated_at),
-                energy.mean_node_energy_mj(&m.awake_rounds, &m.terminated_at),
+    let points = fan_out(&jobs, spec.threads, |scratch, job| {
+        let (point, result) = run_point(job, scratch);
+        let (energy_max_mj, energy_mean_mj) = match &result {
+            Some(r) => (
+                energy.max_node_energy_mj(&r.metrics.awake_rounds, &r.metrics.terminated_at),
+                energy.mean_node_energy_mj(&r.metrics.awake_rounds, &r.metrics.terminated_at),
             ),
             None => (0.0, 0.0),
         };
         SweepPoint { point, energy_max_mj, energy_mean_mj }
     });
 
-    let cells = aggregate(spec, &flat, &points);
+    // Chunks of one point's seeds arrive algorithm-major; each
+    // `{family × n}` cell gathers its entry from every algorithm point.
+    let group_of: Vec<usize> =
+        groups.iter().enumerate().flat_map(|(gi, g)| vec![gi; g.runners.len()]).collect();
+    let (nf, ns) = (spec.families.len(), spec.sizes.len());
+    let entries: Vec<SweepEntry> = points
+        .chunks(spec.seeds.len())
+        .enumerate()
+        .map(|(ci, chunk)| SweepEntry::of(chunk, group_of[ci / (nf * ns)]))
+        .collect();
+    let cells = product(&[nf, ns])
+        .map(|i| {
+            let at = |ai: usize| entries[(ai * nf + i[0]) * ns + i[1]].clone();
+            let mut cell = SweepCell {
+                family: spec.families[i[0]],
+                n: spec.sizes[i[1]],
+                entries: (0..group_of.len()).map(at).collect(),
+            };
+            cell.annotate_frontier();
+            cell
+        })
+        .collect();
     Ok(SweepResult { spec: spec.clone(), groups, points, cells })
-}
-
-fn aggregate(
-    spec: &SweepSpec,
-    flat: &[(usize, RunnerHandle)],
-    points: &[SweepPoint],
-) -> Vec<SweepCell> {
-    let (nf, ns, nk) = (spec.families.len(), spec.sizes.len(), spec.seeds.len());
-    let mut cells = Vec::with_capacity(nf * ns);
-    for (fi, &family) in spec.families.iter().enumerate() {
-        for (si, &n) in spec.sizes.iter().enumerate() {
-            let mut entries: Vec<SweepEntry> = flat
-                .iter()
-                .enumerate()
-                .map(|(ai, (group, algorithm))| {
-                    let base = ((ai * nf + fi) * ns + si) * nk;
-                    let chunk = &points[base..base + nk];
-                    let awake_max: Vec<u64> = chunk.iter().map(|p| p.point.awake_max).collect();
-                    let awake_avg: Vec<f64> = chunk.iter().map(|p| p.point.awake_avg).collect();
-                    let rounds: Vec<u64> = chunk.iter().map(|p| p.point.rounds).collect();
-                    let e_max: Vec<f64> = chunk.iter().map(|p| p.energy_max_mj).collect();
-                    let e_mean: Vec<f64> = chunk.iter().map(|p| p.energy_mean_mj).collect();
-                    SweepEntry {
-                        algorithm: algorithm.clone(),
-                        group: *group,
-                        runs: nk,
-                        awake_max: Summary::of_u64(&awake_max),
-                        awake_avg: Summary::of(&awake_avg),
-                        rounds: Summary::of_u64(&rounds),
-                        energy_max_mj: Summary::of(&e_max),
-                        energy_mean_mj: Summary::of(&e_mean),
-                        max_message_bits: chunk
-                            .iter()
-                            .map(|p| p.point.max_message_bits)
-                            .max()
-                            .unwrap_or(0),
-                        all_correct: chunk.iter().all(|p| p.point.correct),
-                        pareto: false,
-                        dominated_by: None,
-                    }
-                })
-                .collect();
-
-            // Pareto frontier over the seed-mean objectives, minimized.
-            // Incorrect entries are excluded outright: an aborted or
-            // failing run's zeroed measurements must never "dominate".
-            let scored: Vec<usize> =
-                (0..entries.len()).filter(|&i| entries[i].all_correct).collect();
-            let objectives: Vec<Vec<f64>> = scored
-                .iter()
-                .map(|&i| {
-                    let e = &entries[i];
-                    vec![e.rounds.mean, e.awake_max.mean, e.awake_avg.mean, e.energy_max_mj.mean]
-                })
-                .collect();
-            for (rank, dom) in dominators(&objectives).into_iter().enumerate() {
-                let i = scored[rank];
-                match dom {
-                    None => entries[i].pareto = true,
-                    Some(d) => {
-                        entries[i].dominated_by =
-                            Some(entries[scored[d]].algorithm.key().to_string());
-                    }
-                }
-            }
-            cells.push(SweepCell { family, n, entries });
-        }
-    }
-    cells
 }
 
 impl SweepPoint {
@@ -592,6 +388,25 @@ impl SweepPoint {
 }
 
 impl SweepEntry {
+    /// Aggregates one algorithm point's seeds in one cell; the frontier
+    /// annotation comes later, per cell.
+    fn of(chunk: &[SweepPoint], group: usize) -> SweepEntry {
+        SweepEntry {
+            algorithm: chunk[0].point.job.algorithm.clone(),
+            group,
+            runs: chunk.len(),
+            awake_max: summary(chunk, |p| p.point.awake_max as f64),
+            awake_avg: summary(chunk, |p| p.point.awake_avg),
+            rounds: summary(chunk, |p| p.point.rounds as f64),
+            energy_max_mj: summary(chunk, |p| p.energy_max_mj),
+            energy_mean_mj: summary(chunk, |p| p.energy_mean_mj),
+            max_message_bits: chunk.iter().map(|p| p.point.max_message_bits).max().unwrap_or(0),
+            all_correct: chunk.iter().all(|p| p.point.correct),
+            pareto: false,
+            dominated_by: None,
+        }
+    }
+
     fn json(&self) -> String {
         let mut s = format!(
             "{{\"algorithm\":\"{}\",\"group\":{},\"runs\":{},\"awake_max\":{},\
@@ -633,76 +448,29 @@ impl SweepResult {
     }
 
     fn json_with_meta(&self, meta: Option<&GridMeta>) -> String {
-        let mut out = String::from("{\n  \"schema\": \"awake-mis/bench-sweep/v1\",\n");
-        if let Some(m) = meta {
-            out.push_str(&format!(
-                "  \"meta\": {{\"threads\": {}, \"wall_ms\": {}}},\n",
-                m.threads, m.wall_ms
-            ));
-            let ns: Vec<String> =
-                self.points.iter().map(|p| p.point.elapsed_ns.to_string()).collect();
-            out.push_str(&format!("  \"timing\": {{\"elapsed_ns\": [{}]}},\n", ns.join(", ")));
-        }
-        let specs: Vec<String> =
-            self.spec.specs.iter().map(|s| format!("\"{}\"", json_escape(s))).collect();
-        let expanded: Vec<String> = self
-            .groups
-            .iter()
-            .map(|g| {
-                let keys: Vec<String> =
-                    g.runners.iter().map(|r| format!("\"{}\"", json_escape(r.key()))).collect();
-                format!("[{}]", keys.join(", "))
-            })
-            .collect();
-        let families: Vec<String> =
-            self.spec.families.iter().map(|f| format!("\"{}\"", f.key())).collect();
-        let sizes: Vec<String> = self.spec.sizes.iter().map(|n| n.to_string()).collect();
-        let seeds: Vec<String> = self.spec.seeds.iter().map(|s| s.to_string()).collect();
         let e = &self.spec.energy;
-        out.push_str(&format!(
-            "  \"spec\": {{\"specs\": [{}], \"expanded\": [{}], \"families\": [{}], \
-             \"sizes\": [{}], \"seeds\": [{}], \"energy\": {{\"awake_mw\": {}, \
-             \"sleep_mw\": {}, \"round_ms\": {}}}}},\n",
-            specs.join(", "),
-            expanded.join(", "),
-            families.join(", "),
-            sizes.join(", "),
-            seeds.join(", "),
+        let s = &self.spec;
+        let spec = format!(
+            "{}, \"energy\": {{\"awake_mw\": {}, \"sleep_mw\": {}, \"round_ms\": {}}}",
+            sweep_spec_json(&s.specs, &self.groups, &s.families, &s.sizes, &s.seeds),
             e.awake_mw,
             e.sleep_mw,
             e.round_ms,
-        ));
-        out.push_str("  \"cells\": [\n");
-        let cells: Vec<String> = self
-            .cells
-            .iter()
-            .map(|c| {
-                let frontier: Vec<String> =
-                    c.frontier().iter().map(|k| format!("\"{}\"", json_escape(k))).collect();
-                let entries: Vec<String> =
-                    c.entries.iter().map(|e| format!("      {}", e.json())).collect();
-                format!(
-                    "    {{\"family\":\"{}\",\"n\":{},\"frontier\":[{}],\"entries\":[\n{}\n    ]}}",
-                    c.family.key(),
-                    c.n,
-                    frontier.join(", "),
-                    entries.join(",\n"),
-                )
-            })
-            .collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ],\n  \"points\": [\n");
-        let points: Vec<String> =
-            self.points.iter().map(|p| format!("    {}", p.json())).collect();
-        out.push_str(&points.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        );
+        document(
+            "awake-mis/bench-sweep/v1",
+            meta.map(|m| meta_lines(m, self.points.iter().map(|p| p.point.elapsed_ns))),
+            &spec,
+            self.cells.iter().map(SweepCell::json),
+            self.points.iter().map(SweepPoint::json),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::default_registry;
 
     #[test]
     fn ranges_lists_and_scalars_expand() {
@@ -908,6 +676,13 @@ mod tests {
             seeds: vec![1],
             threads: 1,
             energy: EnergyModel::default(),
+        };
+        assert!(matches!(run_sweep(&spec), Err(SpecError::DuplicateKey { .. })));
+        // A family listed twice is an error, not a panic.
+        let spec = SweepSpec {
+            specs: vec!["luby".into()],
+            families: vec![GraphFamily::Er, GraphFamily::Er],
+            ..spec
         };
         assert!(matches!(run_sweep(&spec), Err(SpecError::DuplicateKey { .. })));
     }

@@ -28,14 +28,14 @@ fn spec(threads: usize, algos: &str) -> ChurnSpec {
 
 #[test]
 fn two_and_eight_thread_payloads_are_byte_identical() {
-    let two = run_churn(&spec(2, "luby,vt"));
-    let eight = run_churn(&spec(8, "luby,vt"));
+    let two = run_churn(&spec(2, "luby,vt")).unwrap();
+    let eight = run_churn(&spec(8, "luby,vt")).unwrap();
     assert_eq!(
         two.payload_json(),
         eight.payload_json(),
         "thread count leaked into the deterministic churn payload"
     );
-    let one = run_churn(&spec(1, "luby,vt"));
+    let one = run_churn(&spec(1, "luby,vt")).unwrap();
     assert_eq!(one.payload_json(), two.payload_json());
 }
 
@@ -45,8 +45,8 @@ fn shard_count_never_reaches_the_payload() {
     // parameter: the registry canonicalizes it out of the key, and the
     // sharded engine's merge is deterministic, so `luby?shards=8` runs
     // must produce the exact bytes `luby?shards=1` runs do.
-    let one = run_churn(&spec(0, "luby?shards=1"));
-    let eight = run_churn(&spec(0, "luby?shards=8"));
+    let one = run_churn(&spec(0, "luby?shards=1")).unwrap();
+    let eight = run_churn(&spec(0, "luby?shards=8")).unwrap();
     assert_eq!(
         one.payload_json(),
         eight.payload_json(),
@@ -71,7 +71,7 @@ fn zero_delta_churn_embeds_the_one_shot_grid_point() {
             n: job.n,
             seed: job.seed,
         };
-        let gp = run_point(&grid_job, &mut scratch);
+        let (gp, _) = run_point(&grid_job, &mut scratch);
         assert_eq!(
             cp.bootstrap.json(),
             gp.json(),
@@ -85,7 +85,7 @@ fn zero_delta_churn_embeds_the_one_shot_grid_point() {
 
 #[test]
 fn meta_and_timing_live_only_in_the_full_document() {
-    let result = run_churn(&spec(2, "luby"));
+    let result = run_churn(&spec(2, "luby")).unwrap();
     let payload = result.payload_json();
     assert!(!payload.contains("wall_ms"));
     assert!(!payload.contains("elapsed_ns"));

@@ -3,26 +3,15 @@
 //! and writes the machine-readable `BENCH_churn.json` (schema
 //! `awake-mis/bench-churn/v1`) plus a repair-vs-recompute summary table.
 //!
-//! Usage:
-//!
-//! ```text
-//! cargo run --release -p bench --bin churn -- \
-//!     [--algos luby,vt] [--families er,tree] [--sizes 256,1024] \
-//!     [--rates 0,0.005,0.01,0.02,0.08] [--epochs 8] [--seeds 3] \
-//!     [--insert-frac 0.5] [--node-churn 0.1] [--threads 0] \
-//!     [--no-recompute] [--serve N] [--serve-algo luby] \
-//!     [--serve-batches 6] [--serve-ops 2000] [--profile] \
-//!     [--out BENCH_churn.json]
-//! ```
-//!
-//! `--algos` takes registry specs (same grammar as `grid`). `--rates`
-//! are effective deltas per epoch as a fraction of `n`; rate `0` pins
-//! the delta-free case (the service must wake nobody). Every point runs
-//! `--epochs` cycles of `random_batch` → `MisService::apply`. Unless
-//! `--no-recompute` is given, each epoch also times a from-scratch run
-//! on the current active graph so the summary can report the wall-clock
-//! ratio; the recompute never touches the deterministic payload (its
-//! timing lands in the `timing` section).
+//! Run with `--help` for the flags. `--algos` takes registry specs
+//! (same grammar as `grid`). `--rates` are effective deltas per epoch
+//! as a fraction of `n`; rate `0` pins the delta-free case (the service
+//! must wake nobody). Every point runs `--epochs` cycles of
+//! `random_batch` → `MisService::apply`. Unless `--no-recompute` is
+//! given, each epoch also times a from-scratch run on the current
+//! active graph so the summary can report the wall-clock ratio; the
+//! recompute never touches the deterministic payload (its timing lands
+//! in the `timing` section).
 //!
 //! `--serve N` additionally runs a generated-workload throughput probe
 //! at `n = N` (the `serve` bin's loop, in-process) and records the
@@ -42,24 +31,30 @@
 //! byte-identical with or without it.
 
 use analysis::churn::{random_batch, run_churn, ChurnMeta, ChurnSpec, MisService, ServeThroughput};
-use analysis::spec::default_registry;
+use analysis::spec::{default_registry, RunnerHandle};
 use analysis::Table;
-use bench::Family;
+use bench::{with_profile, Args, Family};
 use sleeping_congest::batch::resolve_threads;
 use sleeping_congest::ScratchArena;
 use std::time::Instant;
 
-fn parse_list<T>(arg: &str, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
-    arg.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).unwrap_or_else(|| panic!("unknown {what} {s:?}")))
-        .collect()
-}
+const USAGE: &str = "\
+usage: churn [--algos luby,vt] [--families er,tree] [--sizes 256,1024]
+             [--rates 0,0.005,0.01,0.02,0.08] [--epochs 8] [--seeds 3]
+             [--insert-frac 0.5] [--node-churn 0.1] [--threads 0]
+             [--no-recompute] [--serve N] [--serve-algo luby]
+             [--serve-batches 6] [--serve-ops 2000] [--profile]
+             [--out BENCH_churn.json]";
 
 /// Generated-workload throughput probe: the `serve` loop, in-process,
 /// against an ER instance of `n` nodes.
-fn serve_probe(n: usize, algo: &str, batches: u64, ops: usize, seed: u64) -> ServeThroughput {
-    let runner = default_registry().resolve(algo).unwrap_or_else(|e| panic!("--serve-algo: {e}"));
+fn serve_probe(
+    n: usize,
+    runner: RunnerHandle,
+    batches: u64,
+    ops: usize,
+    seed: u64,
+) -> ServeThroughput {
     let g = Family::Er.generate(n, seed);
     let mut scratch = ScratchArena::new();
     println!("[serve] bootstrapping {} on er n={n}…", runner.key());
@@ -101,20 +96,6 @@ fn serve_probe(n: usize, algo: &str, batches: u64, ops: usize, seed: u64) -> Ser
     }
 }
 
-/// Appends the execution-only `trace=profile` param to every spec in a
-/// comma-separated list (no-op when `--profile` is off).
-fn with_profile(specs: &str, profile: bool) -> String {
-    if !profile {
-        return specs.to_string();
-    }
-    specs
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| if s.contains('?') { format!("{s}&trace=profile") } else { format!("{s}?trace=profile") })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 fn main() {
     let registry = default_registry();
     let mut algos_spec = String::from("luby,vt");
@@ -134,46 +115,35 @@ fn main() {
     let mut profile = false;
     let mut out_path = String::from("BENCH_churn.json");
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--algos" => algos_spec = value(&mut i).to_string(),
-            "--families" => families = parse_list(value(&mut i), Family::parse, "family"),
-            "--sizes" => sizes = parse_list(value(&mut i), |s| s.parse().ok(), "size"),
-            "--rates" => rates = parse_list(value(&mut i), |s| s.parse().ok(), "rate"),
-            "--epochs" => epochs = value(&mut i).parse().expect("--epochs takes a count"),
-            "--seeds" => seed_count = value(&mut i).parse().expect("--seeds takes a count"),
-            "--insert-frac" => {
-                insert_frac = value(&mut i).parse().expect("--insert-frac takes a fraction");
-            }
-            "--node-churn" => {
-                node_churn = value(&mut i).parse().expect("--node-churn takes a fraction");
-            }
-            "--threads" => threads = value(&mut i).parse().expect("--threads takes a count"),
+    let mut args = Args::from_env("churn", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--algos" => algos_spec = args.value(),
+            "--families" => families = args.list(Family::parse),
+            "--sizes" => sizes = args.list(|s| s.parse().ok()),
+            "--rates" => rates = args.list(|s| s.parse().ok()),
+            "--epochs" => epochs = args.parse(),
+            "--seeds" => seed_count = args.parse(),
+            "--insert-frac" => insert_frac = args.parse(),
+            "--node-churn" => node_churn = args.parse(),
+            "--threads" => threads = args.parse(),
             "--no-recompute" => recompute = false,
-            "--serve" => serve_n = value(&mut i).parse().expect("--serve takes a node count"),
-            "--serve-algo" => serve_algo = value(&mut i).to_string(),
-            "--serve-batches" => {
-                serve_batches = value(&mut i).parse().expect("--serve-batches takes a count");
-            }
-            "--serve-ops" => {
-                serve_ops = value(&mut i).parse().expect("--serve-ops takes a count");
-            }
+            "--serve" => serve_n = args.parse(),
+            "--serve-algo" => serve_algo = args.value(),
+            "--serve-batches" => serve_batches = args.parse(),
+            "--serve-ops" => serve_ops = args.parse(),
             "--profile" => profile = true,
-            "--out" => out_path = value(&mut i).to_string(),
-            other => panic!("unknown argument {other:?} (see the doc comment for usage)"),
+            "--out" => out_path = args.value(),
+            _ => args.unknown(),
         }
-        i += 1;
     }
 
     let algorithms = registry
         .resolve_list(&with_profile(&algos_spec, profile))
-        .unwrap_or_else(|e| panic!("--algos: {e}"));
+        .unwrap_or_else(|e| args.fail(format_args!("--algos: {e}")));
+    let serve_runner = registry
+        .resolve(&serve_algo)
+        .unwrap_or_else(|e| args.fail(format_args!("--serve-algo: {e}")));
     let spec = ChurnSpec {
         algorithms,
         families,
@@ -191,7 +161,7 @@ fn main() {
     println!("running {jobs} churn points ({epochs} epochs each) over {threads_used} threads…");
 
     let start = Instant::now();
-    let result = run_churn(&spec);
+    let result = run_churn(&spec).unwrap_or_else(|e| args.fail(e));
     let wall = start.elapsed();
 
     // Per-cell locality table, with the wall-clock repair-vs-recompute
@@ -235,7 +205,7 @@ fn main() {
     }
 
     let serve = (serve_n > 0)
-        .then(|| serve_probe(serve_n, &serve_algo, serve_batches, serve_ops, 1));
+        .then(|| serve_probe(serve_n, serve_runner, serve_batches, serve_ops, 1));
 
     let meta = ChurnMeta { threads: threads_used, wall_ms: wall.as_millis(), serve };
     std::fs::write(&out_path, result.to_json(&meta)).expect("write churn JSON");

@@ -5,7 +5,8 @@
 //! the harness the experiments run on.
 //!
 //! Usage: `cargo run -p bench --release --bin experiments [-- e1 e4 …]`
-//! (no arguments = run everything).
+//! (no arguments = run everything; an unknown ID exits 2 listing the
+//! valid ones).
 
 use analysis::fit::{compare_growth_laws, growth_exponent};
 use analysis::grid::{run_grid, GridSpec};
@@ -13,10 +14,9 @@ use analysis::shattering::{residual_profile, shatter_once};
 use analysis::spec::{default_registry, RunnerHandle};
 use analysis::sweep::{run_sweep, SweepSpec};
 use analysis::{EnergyModel, Summary, Table};
-use awake_mis_core::ldt_mis::{LdtMis, LdtMisParams};
-use awake_mis_core::{AwakeMis, AwakeMisConfig, LdtStrategy, MisState};
-use bench::Family;
-use graphgen::{generators, Graph, NodeId};
+use awake_mis_core::{AwakeMis, AwakeMisConfig};
+use bench::{Args, Family};
+use graphgen::{generators, NodeId};
 use ldt::construct::{ConstructAwake, ConstructParams};
 use ldt::construct_round::ConstructRound;
 use ldt::ops::{LdtBroadcast, LdtRanking};
@@ -28,69 +28,55 @@ use sleeping_congest::{SimConfig, Simulator, Standalone};
 
 const SEEDS: [u64; 3] = [11, 22, 33];
 
+const USAGE: &str = "\
+usage: experiments [ID]...   (no IDs = run every experiment)
+IDs: e1 … e17, case-insensitive; each `eN` function names the claim it regenerates";
+
+/// One experiment. E1 and E2 read one sweep, run on first use and kept
+/// in the slot every experiment is handed.
+type Experiment = fn(&mut Option<Vec<SweepRow>>);
+
+/// Every experiment, in run order.
+const EXPERIMENTS: [(&str, Experiment); 17] = [
+    ("e1", |s| e1(s.get_or_insert_with(run_e1_e2_sweep))),
+    ("e2", |s| e2(s.get_or_insert_with(run_e1_e2_sweep))),
+    ("e3", |_| e3()),
+    ("e4", |_| e4()),
+    ("e5", |_| e5()),
+    ("e6", |_| e6()),
+    ("e7", |_| e7()),
+    ("e8", |_| e8()),
+    ("e9", |_| e9()),
+    ("e10", |_| e10()),
+    ("e11", |_| e11()),
+    ("e12", |_| e12()),
+    ("e13", |_| e13()),
+    ("e14", |_| e14()),
+    ("e15", |_| e15()),
+    ("e16", |_| e16()),
+    ("e17", |_| e17()),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let all = args.is_empty();
-    let want = |id: &str| all || args.iter().any(|a| a.eq_ignore_ascii_case(id));
+    let mut args = Args::from_env("experiments", USAGE);
+    let mut wanted: Vec<String> = Vec::new();
+    while let Some(id) = args.next_flag() {
+        let id = id.to_ascii_lowercase();
+        if !EXPERIMENTS.iter().any(|(known, _)| *known == id) {
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+            args.fail(format_args!("unknown experiment {id:?} (valid: {})", known.join(", ")));
+        }
+        wanted.push(id);
+    }
 
     println!("awake-mis experiment harness — reproduction of PODC 2023 \"Distributed MIS in O(log log n) Awake Complexity\"");
     println!("(absolute numbers are simulator-specific; the *shapes* — growth laws, orderings, crossovers — are the claims)\n");
 
-    // E1/E2 share their sweep; run together when either is requested.
-    let mut sweep: Vec<SweepRow> = Vec::new();
-    if want("e1") || want("e2") {
-        sweep = run_e1_e2_sweep();
-    }
-    if want("e1") {
-        e1(&sweep);
-    }
-    if want("e2") {
-        e2(&sweep);
-    }
-    if want("e3") {
-        e3();
-    }
-    if want("e4") {
-        e4();
-    }
-    if want("e5") {
-        e5();
-    }
-    if want("e6") {
-        e6();
-    }
-    if want("e7") {
-        e7();
-    }
-    if want("e8") {
-        e8();
-    }
-    if want("e9") {
-        e9();
-    }
-    if want("e10") {
-        e10();
-    }
-    if want("e11") {
-        e11();
-    }
-    if want("e12") {
-        e12();
-    }
-    if want("e13") {
-        e13();
-    }
-    if want("e14") {
-        e14();
-    }
-    if want("e15") {
-        e15();
-    }
-    if want("e16") {
-        e16();
-    }
-    if want("e17") {
-        e17();
+    let mut sweep = None;
+    for (id, run) in EXPERIMENTS {
+        if wanted.is_empty() || wanted.iter().any(|w| w == id) {
+            run(&mut sweep);
+        }
     }
 }
 
@@ -1004,7 +990,3 @@ fn e17() {
     print!("{}", t.render());
     println!();
 }
-
-// Silence unused warnings for items only used in some experiment subsets.
-#[allow(dead_code)]
-fn _unused(_: &Graph, _: &LdtMis, _: LdtMisParams, _: LdtStrategy, _: MisState) {}

@@ -5,22 +5,13 @@
 //! machine-readable `BENCH_faults.json` (schema
 //! `awake-mis/bench-faults/v1`) plus a human-readable robustness table.
 //!
-//! Usage:
-//!
-//! ```text
-//! cargo run --release -p bench --bin faults -- \
-//!     [--spec SPEC]... [--specs 'SPEC;SPEC;…'] \
-//!     [--families er,tree] [--sizes 256,1024] [--seeds 8] \
-//!     [--threads 0] [--out BENCH_faults.json]
-//! ```
-//!
-//! Each `--spec` takes ONE sweep spec (repeat the flag to add more);
-//! `--specs` takes a `;`-separated list — `,` belongs to the level
-//! grammar (`loss=0,0.02,0.08`). Quote `?`/`&` for your shell. Run with
-//! no arguments to reproduce the committed `BENCH_faults.json`. The
-//! JSON payload (everything except `meta` and `timing`) is
-//! byte-identical for any thread count, and the `loss=0` levels are
-//! byte-identical to the fault-free grid's points.
+//! Run with `--help` for the flags. Each `--spec` takes ONE sweep spec
+//! (repeat the flag to add more); `--specs` takes a `;`-separated list
+//! — `,` belongs to the level grammar (`loss=0,0.02,0.08`). Quote
+//! `?`/`&` for your shell. Run with no arguments to reproduce the
+//! committed `BENCH_faults.json`. The JSON payload (everything except
+//! `meta` and `timing`) is byte-identical for any thread count, and the
+//! `loss=0` levels are byte-identical to the fault-free grid's points.
 //!
 //! Unlike `grid` and `sweep`, incorrect runs do NOT exit nonzero here:
 //! lossy levels are *supposed* to fail sometimes — that failure rate is
@@ -30,9 +21,14 @@
 use analysis::faults::{run_faults, FaultSweepSpec};
 use analysis::sweep::expand;
 use analysis::{default_registry, GridMeta, Table};
-use bench::Family;
+use bench::{Args, Family};
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
+
+const USAGE: &str = "\
+usage: faults [--spec SPEC]... [--specs 'SPEC;SPEC;…']
+              [--families er,tree] [--sizes 256,1024] [--seeds 8]
+              [--threads 0] [--out BENCH_faults.json]";
 
 /// The default surface the committed `BENCH_faults.json` pins: three
 /// loss levels (including the clean anchor) for the two headline
@@ -46,13 +42,6 @@ const DEFAULT_SPECS: [&str; 5] = [
     "awake?jitter=16",
 ];
 
-fn parse_list<T>(arg: &str, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
-    arg.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).unwrap_or_else(|| panic!("unknown {what} {s:?}")))
-        .collect()
-}
-
 fn main() {
     let mut specs: Vec<String> = Vec::new();
     let mut families = vec![Family::Er, Family::Dense];
@@ -61,26 +50,20 @@ fn main() {
     let mut threads = 0usize;
     let mut out_path = String::from("BENCH_faults.json");
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--spec" => specs.push(value(&mut i).to_string()),
+    let mut args = Args::from_env("faults", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--spec" => specs.push(args.value()),
             "--specs" => specs.extend(
-                value(&mut i).split(';').filter(|s| !s.trim().is_empty()).map(str::to_string),
+                args.value().split(';').filter(|s| !s.trim().is_empty()).map(str::to_string),
             ),
-            "--families" => families = parse_list(value(&mut i), Family::parse, "family"),
-            "--sizes" => sizes = parse_list(value(&mut i), |s| s.parse().ok(), "size"),
-            "--seeds" => seed_count = value(&mut i).parse().expect("--seeds takes a count"),
-            "--threads" => threads = value(&mut i).parse().expect("--threads takes a count"),
-            "--out" => out_path = value(&mut i).to_string(),
-            other => panic!("unknown argument {other:?} (see the doc comment for usage)"),
+            "--families" => families = args.list(Family::parse),
+            "--sizes" => sizes = args.list(|s| s.parse().ok()),
+            "--seeds" => seed_count = args.parse(),
+            "--threads" => threads = args.parse(),
+            "--out" => out_path = args.value(),
+            _ => args.unknown(),
         }
-        i += 1;
     }
     if specs.is_empty() {
         specs = DEFAULT_SPECS.iter().map(|s| s.to_string()).collect();
@@ -90,7 +73,8 @@ fn main() {
     let registry = default_registry();
     let mut expanded_total = 0;
     for raw in &specs {
-        let group = expand(registry, raw).unwrap_or_else(|e| panic!("--spec {raw:?}: {e}"));
+        let group = expand(registry, raw);
+        let group = group.unwrap_or_else(|e| args.fail(format_args!("--spec {raw:?}: {e}")));
         expanded_total += group.runners.len();
     }
 
@@ -108,7 +92,7 @@ fn main() {
     );
 
     let start = Instant::now();
-    let result = run_faults(&spec).unwrap_or_else(|e| panic!("faults: {e}"));
+    let result = run_faults(&spec).unwrap_or_else(|e| args.fail(e));
     let wall = start.elapsed();
 
     let mut t = Table::new(vec![

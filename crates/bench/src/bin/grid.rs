@@ -3,24 +3,15 @@
 //! the machine-readable `BENCH_grid.json` (schema
 //! `awake-mis/bench-grid/v3`) plus a human-readable summary table.
 //!
-//! Usage:
-//!
-//! ```text
-//! cargo run --release -p bench --bin grid -- \
-//!     [--algos awake,luby,na,gp-avg] [--families er,rgg,ba,grid,tree] \
-//!     [--sizes 1000,10000,100000] [--seeds 8] [--threads 0] \
-//!     [--shards 0] [--large | --no-large] [--profile] \
-//!     [--out BENCH_grid.json] [--list-algos]
-//! ```
-//!
-//! The `--algos` list takes registry specs, so parameterized variants
-//! run without any code change: `--algos 'awake?round_efficient=true'`,
-//! `--algos 'ldt?strategy=round,vt?id_upper=1000000'` (quote the `?` for
-//! your shell). `--list-algos` prints every registered key with its
-//! accepted parameters. `--seeds K` runs seeds `1..=K`; `--threads 0`
-//! (default) uses every hardware thread. The JSON payload (everything
-//! except the `meta` object and the `timing` section) is byte-identical
-//! for any thread count.
+//! Run with `--help` for the flags. The `--algos` list takes registry
+//! specs, so parameterized variants run without any code change:
+//! `--algos 'awake?round_efficient=true'`, `--algos
+//! 'ldt?strategy=round,vt?id_upper=1000000'` (quote the `?` for your
+//! shell). `--list-algos` prints every registered key with its accepted
+//! parameters. `--seeds K` runs seeds `1..=K`; `--threads 0` (default)
+//! uses every hardware thread. The JSON payload (everything except the
+//! `meta` object and the `timing` section) is byte-identical for any
+//! thread count.
 //!
 //! The default invocation (no axis flags) additionally appends the
 //! `large` tier: `luby` and `awake` on million-node ER graphs, run with
@@ -40,30 +31,15 @@
 use analysis::grid::{run_grid, GridMeta, GridSpec, GridTier};
 use analysis::spec::default_registry;
 use analysis::Table;
-use bench::Family;
+use bench::{with_profile, Args, Family};
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
 
-fn parse_list<T>(arg: &str, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
-    arg.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).unwrap_or_else(|| panic!("unknown {what} {s:?}")))
-        .collect()
-}
-
-/// Appends the execution-only `trace=profile` param to every spec in a
-/// comma-separated list (no-op when `--profile` is off).
-fn with_profile(specs: &str, profile: bool) -> String {
-    if !profile {
-        return specs.to_string();
-    }
-    specs
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| if s.contains('?') { format!("{s}&trace=profile") } else { format!("{s}?trace=profile") })
-        .collect::<Vec<_>>()
-        .join(",")
-}
+const USAGE: &str = "\
+usage: grid [--algos awake,luby,na,gp-avg] [--families er,rgg,ba,grid,tree]
+            [--sizes 1000,10000,100000] [--seeds 8] [--threads 0]
+            [--shards 0] [--large | --no-large] [--profile]
+            [--out BENCH_grid.json] [--list-algos]";
 
 fn main() {
     let registry = default_registry();
@@ -81,36 +57,31 @@ fn main() {
     let mut large: Option<bool> = None;
     let mut profile = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
+    let mut args = Args::from_env("grid", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
             "--algos" => {
-                algos_spec = value(&mut i).to_string();
+                algos_spec = args.value();
                 explicit_axes = true;
             }
             "--families" => {
-                families = parse_list(value(&mut i), Family::parse, "family");
+                families = args.list(Family::parse);
                 explicit_axes = true;
             }
             "--sizes" => {
-                sizes = parse_list(value(&mut i), |s| s.parse().ok(), "size");
+                sizes = args.list(|s| s.parse().ok());
                 explicit_axes = true;
             }
             "--seeds" => {
-                seed_count = value(&mut i).parse().expect("--seeds takes a count");
+                seed_count = args.parse();
                 explicit_axes = true;
             }
-            "--threads" => threads = value(&mut i).parse().expect("--threads takes a count"),
-            "--shards" => shards = value(&mut i).parse().expect("--shards takes a count"),
+            "--threads" => threads = args.parse(),
+            "--shards" => shards = args.parse(),
             "--large" => large = Some(true),
             "--no-large" => large = Some(false),
             "--profile" => profile = true,
-            "--out" => out_path = value(&mut i).to_string(),
+            "--out" => out_path = args.value(),
             "--list-algos" => {
                 println!("registered algorithm specs (grammar: key?param=value&…):\n");
                 for (key, about) in registry.entries() {
@@ -118,14 +89,13 @@ fn main() {
                 }
                 return;
             }
-            other => panic!("unknown argument {other:?} (see the doc comment for usage)"),
+            _ => args.unknown(),
         }
-        i += 1;
     }
 
     let algorithms = registry
         .resolve_list(&with_profile(&algos_spec, profile))
-        .unwrap_or_else(|e| panic!("--algos: {e}"));
+        .unwrap_or_else(|e| args.fail(format_args!("--algos: {e}")));
 
     // The `large` tier rides along whenever the base axes are the
     // defaults (so the checked-in BENCH_grid.json carries it), and on
@@ -156,6 +126,9 @@ fn main() {
         tiers,
         threads,
     };
+    if let Err(e) = spec.check_axes() {
+        args.fail(e);
+    }
     let jobs = spec.jobs().len();
     let threads_used = resolve_threads(spec.threads);
     println!("running {jobs} grid jobs over {threads_used} threads…");

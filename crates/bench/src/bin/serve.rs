@@ -4,19 +4,11 @@
 //! batch, emits the **MIS delta** (which nodes joined/left the MIS),
 //! and reports sustained deltas/sec on exit.
 //!
-//! Usage:
-//!
-//! ```text
-//! cargo run --release -p bench --bin serve -- \
-//!     [--algo luby] [--family er] [--n 1000000] [--seed 1] \
-//!     [--batches 6] [--ops 2000] [--insert-frac 0.5] [--node-churn 0] \
-//!     [--stdin] [--quiet] [--stats-every 5]
-//! ```
-//!
-//! Default mode generates `--batches` random delta batches of `--ops`
-//! operations each against the bootstrapped instance (this is the
-//! n=10⁶ throughput configuration; the same loop runs in-process under
-//! `churn --serve` to stamp the figure into `BENCH_churn.json`).
+//! Run with `--help` for the flags. Default mode generates `--batches`
+//! random delta batches of `--ops` operations each against the
+//! bootstrapped instance (this is the n=10⁶ throughput configuration;
+//! the same loop runs in-process under `churn --serve` to stamp the
+//! figure into `BENCH_churn.json`).
 //!
 //! With `--stdin`, batches come from a line protocol instead:
 //!
@@ -58,11 +50,16 @@
 
 use analysis::churn::{random_batch, EpochReport, MisService};
 use analysis::spec::default_registry;
-use bench::Family;
+use bench::{Args, Family};
 use graphgen::DeltaBatch;
 use sleeping_congest::ScratchArena;
 use std::io::BufRead;
 use std::time::Instant;
+
+const USAGE: &str = "\
+usage: serve [--algo luby] [--family er] [--n 1000000] [--seed 1]
+             [--batches 6] [--ops 2000] [--insert-frac 0.5] [--node-churn 0]
+             [--stdin] [--quiet] [--stats-every 5]";
 
 /// Exact nearest-rank percentile over a sorted sample.
 fn pct(sorted: &[u64], q: f64) -> u64 {
@@ -210,40 +207,29 @@ fn main() {
     let mut quiet = false;
     let mut stats_every = 5u64;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--algo" => algo = value(&mut i).to_string(),
+    let mut args = Args::from_env("serve", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--algo" => algo = args.value(),
             "--family" => {
-                let v = value(&mut i);
-                family = Family::parse(v).unwrap_or_else(|| panic!("unknown family {v:?}"));
+                let v = args.value();
+                family = Family::parse(&v)
+                    .unwrap_or_else(|| args.usage_error(&format!("--family: bad value {v:?}")));
             }
-            "--n" => n = value(&mut i).parse().expect("--n takes a node count"),
-            "--seed" => seed = value(&mut i).parse().expect("--seed takes a number"),
-            "--batches" => batches = value(&mut i).parse().expect("--batches takes a count"),
-            "--ops" => ops = value(&mut i).parse().expect("--ops takes a count"),
-            "--insert-frac" => {
-                insert_frac = value(&mut i).parse().expect("--insert-frac takes a fraction");
-            }
-            "--node-churn" => {
-                node_churn = value(&mut i).parse().expect("--node-churn takes a fraction");
-            }
+            "--n" => n = args.parse(),
+            "--seed" => seed = args.parse(),
+            "--batches" => batches = args.parse(),
+            "--ops" => ops = args.parse(),
+            "--insert-frac" => insert_frac = args.parse(),
+            "--node-churn" => node_churn = args.parse(),
             "--stdin" => stdin_mode = true,
             "--quiet" => quiet = true,
-            "--stats-every" => {
-                stats_every = value(&mut i).parse().expect("--stats-every takes a count");
-            }
-            other => panic!("unknown argument {other:?} (see the doc comment for usage)"),
+            "--stats-every" => stats_every = args.parse(),
+            _ => args.unknown(),
         }
-        i += 1;
     }
 
-    let runner = registry.resolve(&algo).unwrap_or_else(|e| panic!("--algo: {e}"));
+    let runner = registry.resolve(&algo).unwrap_or_else(|e| args.fail(format_args!("--algo: {e}")));
     let g = family.generate(n, seed);
     let mut scratch = ScratchArena::new();
     println!("# bootstrapping {} on {} n={}…", runner.key(), family.key(), g.n());

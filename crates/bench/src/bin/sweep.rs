@@ -6,20 +6,10 @@
 //! machine-readable `BENCH_sweep.json` (schema `awake-mis/bench-sweep/v1`)
 //! plus a human-readable frontier table.
 //!
-//! Usage:
-//!
-//! ```text
-//! cargo run --release -p bench --bin sweep -- \
-//!     [--spec SPEC]... [--specs 'SPEC;SPEC;…'] \
-//!     [--family FAMILY]... [--families er,tree] \
-//!     [--sizes 256,1024] [--seeds 4] \
-//!     [--threads 0] [--out BENCH_sweep.json]
-//! ```
-//!
-//! Each `--spec` takes ONE sweep spec (repeat the flag to add more);
-//! `--specs` takes a `;`-separated list — a separate separator because
-//! `,` is part of the sweep grammar (`balance=0,2,4`). Quote `?`/`&`
-//! for your shell.
+//! Run with `--help` for the flags. Each `--spec` takes ONE sweep spec
+//! (repeat the flag to add more); `--specs` takes a `;`-separated list
+//! — a separate separator because `,` is part of the sweep grammar
+//! (`balance=0,2,4`). Quote `?`/`&` for your shell.
 //!
 //! The *graph* is a sweep axis too: family specs go through the same
 //! range grammar (`analysis::sweep::expand_families`), so
@@ -37,9 +27,14 @@
 use analysis::spec::default_registry;
 use analysis::sweep::{expand, expand_families, run_sweep, SweepSpec};
 use analysis::{EnergyModel, GridMeta, Table};
-use bench::Family;
+use bench::Args;
 use sleeping_congest::batch::resolve_threads;
 use std::time::Instant;
+
+const USAGE: &str = "\
+usage: sweep [--spec SPEC]... [--specs 'SPEC;SPEC;…']
+             [--family FAMILY]... [--families er,tree]
+             [--sizes 256,1024] [--seeds 4] [--threads 0] [--out BENCH_sweep.json]";
 
 /// The default sweep: both awake measures, the GP balance dial, and the
 /// LE time/energy dial, on the workhorse sparse family and the dense
@@ -53,32 +48,6 @@ const DEFAULT_SPECS: [&str; 6] =
 /// committed frontier also pins a graph-parameter dial.
 const DEFAULT_FAMILIES: [&str; 3] = ["er", "dense", "er?avg_deg=16"];
 
-fn parse_list<T>(arg: &str, parse: impl Fn(&str) -> Option<T>, what: &str) -> Vec<T> {
-    arg.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).unwrap_or_else(|| panic!("unknown {what} {s:?}")))
-        .collect()
-}
-
-/// Expands a list of family specs (each through the range grammar),
-/// rejecting families that appear twice across the whole axis.
-fn expand_family_axis(raw_specs: &[String]) -> Vec<Family> {
-    let mut out: Vec<Family> = Vec::new();
-    for raw in raw_specs {
-        let expanded =
-            expand_families(raw).unwrap_or_else(|e| panic!("family spec {raw:?}: {e}"));
-        for f in expanded {
-            assert!(
-                !out.contains(&f),
-                "family {} appears twice in the family axis",
-                f.key()
-            );
-            out.push(f);
-        }
-    }
-    out
-}
-
 fn main() {
     let mut specs: Vec<String> = Vec::new();
     let mut family_specs: Vec<String> = Vec::new();
@@ -87,29 +56,23 @@ fn main() {
     let mut threads = 0usize;
     let mut out_path = String::from("BENCH_sweep.json");
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> &str {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| panic!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--spec" => specs.push(value(&mut i).to_string()),
+    let mut args = Args::from_env("sweep", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--spec" => specs.push(args.value()),
             "--specs" => specs.extend(
-                value(&mut i).split(';').filter(|s| !s.trim().is_empty()).map(str::to_string),
+                args.value().split(';').filter(|s| !s.trim().is_empty()).map(str::to_string),
             ),
-            "--family" => family_specs.push(value(&mut i).to_string()),
+            "--family" => family_specs.push(args.value()),
             "--families" => family_specs.extend(
-                value(&mut i).split(',').filter(|s| !s.trim().is_empty()).map(str::to_string),
+                args.value().split(',').filter(|s| !s.trim().is_empty()).map(str::to_string),
             ),
-            "--sizes" => sizes = parse_list(value(&mut i), |s| s.parse().ok(), "size"),
-            "--seeds" => seed_count = value(&mut i).parse().expect("--seeds takes a count"),
-            "--threads" => threads = value(&mut i).parse().expect("--threads takes a count"),
-            "--out" => out_path = value(&mut i).to_string(),
-            other => panic!("unknown argument {other:?} (see the doc comment for usage)"),
+            "--sizes" => sizes = args.list(|s| s.parse().ok()),
+            "--seeds" => seed_count = args.parse(),
+            "--threads" => threads = args.parse(),
+            "--out" => out_path = args.value(),
+            _ => args.unknown(),
         }
-        i += 1;
     }
     if specs.is_empty() {
         specs = DEFAULT_SPECS.iter().map(|s| s.to_string()).collect();
@@ -117,13 +80,20 @@ fn main() {
     if family_specs.is_empty() {
         family_specs = DEFAULT_FAMILIES.iter().map(|s| s.to_string()).collect();
     }
-    let families = expand_family_axis(&family_specs);
+    // Family points of every spec form one axis; run_sweep rejects a
+    // family listed twice.
+    let mut families = Vec::new();
+    for raw in &family_specs {
+        let expanded = expand_families(raw);
+        families.extend(expanded.unwrap_or_else(|e| args.fail(format_args!("{raw:?}: {e}"))));
+    }
 
     // Expand up front so a bad spec fails before any work runs.
     let registry = default_registry();
     let mut expanded_total = 0;
     for raw in &specs {
-        let group = expand(registry, raw).unwrap_or_else(|e| panic!("--spec {raw:?}: {e}"));
+        let group = expand(registry, raw);
+        let group = group.unwrap_or_else(|e| args.fail(format_args!("--spec {raw:?}: {e}")));
         expanded_total += group.runners.len();
     }
 
@@ -143,7 +113,7 @@ fn main() {
     );
 
     let start = Instant::now();
-    let result = run_sweep(&spec).unwrap_or_else(|e| panic!("sweep: {e}"));
+    let result = run_sweep(&spec).unwrap_or_else(|e| args.fail(e));
     let wall = start.elapsed();
 
     let mut t = Table::new(vec![

@@ -9,7 +9,7 @@
 //! those two stages from the repo's own building blocks:
 //!
 //! 1. **Dropout stage** (`balance` phases): the compete/resolve
-//!    [`DropoutCore`] shared with [`NaMis`](crate::na_mis::NaMis) —
+//!    dropout core shared with [`NaMis`](crate::na_mis::NaMis) —
 //!    each phase decides the local priority minima and their neighbors,
 //!    who leave immediately, so the undecided set decays geometrically
 //!    and most nodes pay `O(1)`.

@@ -33,7 +33,7 @@
 //! is still independent, and no frontier node neighbors a surviving MIS
 //! node — hence *any* MIS of the induced frontier subgraph splices back
 //! into a globally valid MIS. The result is verified with
-//! [`check_mis_survivors`](crate::check_mis_survivors) (inactive nodes
+//! [`check_mis_survivors`] (inactive nodes
 //! exempt), and on failure the frontier is re-solved with a reseeded
 //! attempt up to [`RepairConfig::max_retries`] times.
 

@@ -7,8 +7,8 @@
 //! the sorted neighbor list, and a node whose list did not change keeps
 //! every port meaning exactly what it meant before. Only the reverse
 //! ports are recomputed, by the same shared linear pass every
-//! construction path uses ([`Graph::from_sorted_halves`] /
-//! [`Graph::from_csr_parts`]).
+//! construction path uses (`Graph::from_sorted_halves` /
+//! `Graph::from_csr_parts`).
 //!
 //! Node ids are **stable**: removing a node does not renumber anyone.
 //! At the [`Graph`] level a removed node simply becomes isolated; the
